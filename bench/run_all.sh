@@ -58,7 +58,6 @@ figure_benches=(
   bench_engine_churn
   bench_lineage_ablation
   bench_multiway_scaling
-  bench_parallel_scaling
   bench_probe_index
   bench_shard_scaling
 )

@@ -13,9 +13,6 @@
 //   --duration=<virtual seconds>                          (default 90)
 //   --s1=<join selectivity>                               (default 0.1)
 //   --seed=<rng seed>                                     (default 1)
-//   --parallel=<N>   run on the parallel pipeline scheduler with N worker
-//                    threads (0 = hardware concurrency; default: the
-//                    deterministic single-threaded scheduler)
 //   --late=<K>       register the last K queries mid-stream (online churn
 //                    demo; default 0)
 //   --dot            print the operator DAG and exit
@@ -41,8 +38,6 @@ struct CliOptions {
   double duration_s = 90;
   double s1 = 0.1;
   uint64_t seed = 1;
-  bool parallel = false;
-  int workers = 0;
   int late = 0;
   bool dot_only = false;
   std::vector<std::string> query_texts;
@@ -62,7 +57,7 @@ int Usage() {
                "usage: stateslice_cli [--strategy=slice|slice-cpu|pullup|"
                "pushdown|unshared]\n"
                "                      [--rate=N] [--duration=S] [--s1=X] "
-               "[--seed=N] [--parallel=N]\n"
+               "[--seed=N]\n"
                "                      [--late=K] [--dot]\n"
                "                      \"SELECT ... WINDOW n s\" ...\n");
   return 2;
@@ -84,9 +79,6 @@ int main(int argc, char** argv) {
       cli.s1 = std::atof(value.c_str());
     } else if (ParseArg(argv[i], "--seed", &value)) {
       cli.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(argv[i], "--parallel", &value)) {
-      cli.parallel = true;
-      cli.workers = std::atoi(value.c_str());
     } else if (ParseArg(argv[i], "--late", &value)) {
       cli.late = std::atoi(value.c_str());
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -140,10 +132,6 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "unknown strategy '%s'\n", cli.strategy.c_str());
     return Usage();
-  }
-  if (cli.parallel) {
-    options.mode = ExecutionMode::kParallel;
-    options.worker_threads = cli.workers;
   }
   Engine engine(options);
 
@@ -202,14 +190,9 @@ int main(int argc, char** argv) {
   engine.Finish();
 
   const RunStats stats = engine.Snapshot();
-  std::printf("\nstrategy=%s rate=%.0f t/s duration=%.0f s S1=%g seed=%llu "
-              "scheduler=%s\n",
+  std::printf("\nstrategy=%s rate=%.0f t/s duration=%.0f s S1=%g seed=%llu\n",
               cli.strategy.c_str(), cli.rate, cli.duration_s, cli.s1,
-              static_cast<unsigned long long>(cli.seed),
-              cli.parallel
-                  ? ("parallel x" + std::to_string(stats.worker_threads))
-                        .c_str()
-                  : "deterministic");
+              static_cast<unsigned long long>(cli.seed));
   std::printf("%llu inputs -> %llu results in %.1f ms wall "
               "(%llu migrations, %llu rebuilds)\n",
               static_cast<unsigned long long>(stats.input_tuples),
@@ -222,19 +205,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     engine.ResultCount(handles[q])));
   }
-  if (cli.parallel) {
-    // Parallel engines sample memory only at quiescent points; don't
-    // present the last sample as a run average.
-    std::printf("state memory: %zu tuples at last quiescent point "
-                "(parallel mode: no periodic sampling)\n",
-                stats.memory_samples.empty()
-                    ? size_t{0}
-                    : stats.memory_samples.back().state_tuples);
-  } else {
-    std::printf("state memory: avg %.0f tuples, peak %zu\n",
-                stats.AvgStateTuples(SecondsToTicks(cli.duration_s / 3.0)),
-                stats.MaxStateTuples());
-  }
+  std::printf("state memory: avg %.0f tuples, peak %zu\n",
+              stats.AvgStateTuples(SecondsToTicks(cli.duration_s / 3.0)),
+              stats.MaxStateTuples());
   std::printf("cpu: %.0f comparisons/s (%s)\n",
               stats.ComparisonsPerVirtualSecond(),
               stats.cost.DebugString().c_str());

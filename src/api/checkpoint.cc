@@ -2,7 +2,7 @@
 // session (fault tolerance for the paper's continuously running multi-query
 // setting).
 //
-// Format v1 (little-endian fixed-width fields; see src/common/serde.h):
+// Format v2 (little-endian fixed-width fields; see src/common/serde.h):
 //
 //   "SSCP" magic (4 raw bytes), u32 format version,
 //   fingerprint   — every Engine::Options field that shapes plan structure
@@ -66,7 +66,7 @@
 namespace stateslice {
 namespace {
 
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 const char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
 
 // ---------------------------------------------------------------- encoding
@@ -516,10 +516,8 @@ bool Engine::Checkpoint(std::string* out) {
   // Quiesce: join workers, then drain every queue to empty. The drained
   // work is inevitable — an uninterrupted run performs it anyway — so
   // folding it into the accumulators keeps restored metrics consistent.
-  const bool had_workers =
-      par_scheduler_ != nullptr || shard_scheduler_ != nullptr;
-  if (par_scheduler_ != nullptr) PauseParallel();
-  if (shard_scheduler_ != nullptr) PauseSharded();
+  const bool had_workers = shard_scheduler_ != nullptr;
+  if (had_workers) PauseSharded();
   // Either the pause above joined the workers, or none existed
   // (deterministic mode / idle): the accumulators are this thread's.
   surgery_cap_.Assert();
@@ -545,14 +543,8 @@ bool Engine::Checkpoint(std::string* out) {
       mdrain.RunUntilQuiescent();
       events_accum_ += mdrain.total_processed();
       SLICE_CHECK_EQ(sharded_->merge.plan->TotalQueueSize(), 0u);
-    } else if (det_scheduler_ != nullptr) {
-      det_scheduler_->RunUntilQuiescent();
     } else {
-      // Parallel mode: the paused pipeline drained in-flight events, but a
-      // paused plan still accepts a defensive sweep.
-      RoundRobinScheduler drain(built_.plan.get());
-      drain.RunUntilQuiescent();
-      events_accum_ += drain.total_processed();
+      det_scheduler_->RunUntilQuiescent();
     }
   }
 
@@ -573,7 +565,6 @@ bool Engine::Checkpoint(std::string* out) {
   w.U8(options_.use_lineage ? 1 : 0);
   w.U8(options_.collect_results ? 1 : 0);
   w.U8(static_cast<uint8_t>(options_.mode));
-  w.U32(static_cast<uint32_t>(options_.worker_threads));
   w.U32(options_.mode == ExecutionMode::kSharded
             ? static_cast<uint32_t>(ShardCount())
             : 0);
@@ -613,34 +604,9 @@ bool Engine::Checkpoint(std::string* out) {
   w.U64(events);
   w.U64(parallel_edge_events_accum_);
   w.U64(static_cast<uint64_t>(parallel_edge_hwm_));
-  w.U32(static_cast<uint32_t>(parallel_stage_busy_.size()));
-  for (const double busy : parallel_stage_busy_) w.Double(busy);
   w.U64(shard_steals_accum_);
   w.U64(shard_spilled_accum_);
-  CostCounters cost = cost_accum_;
-  if (running()) {
-    const auto fold = [&cost](const CostCounters& from) {
-      for (int c = 0; c < static_cast<int>(CostCategory::kCategoryCount);
-           ++c) {
-        cost.Add(static_cast<CostCategory>(c),
-                 from.Get(static_cast<CostCategory>(c)));
-      }
-      for (int c = 0;
-           c < static_cast<int>(PhysCategory::kPhysCategoryCount); ++c) {
-        cost.AddPhysical(static_cast<PhysCategory>(c),
-                         from.GetPhysical(static_cast<PhysCategory>(c)));
-      }
-    };
-    if (sharded_ != nullptr) {
-      for (const BuiltPlan& shard : sharded_->shards) {
-        fold(shard.plan->cost_counters());
-      }
-      fold(sharded_->merge.plan->cost_counters());
-    } else {
-      fold(built_.plan->cost_counters());
-    }
-  }
-  WriteCost(&w, cost);
+  WriteCost(&w, TotalCost());
   w.U32(static_cast<uint32_t>(memory_samples_.size()));
   for (const MemorySample& sample : memory_samples_) {
     w.I64(sample.time);
@@ -807,7 +773,6 @@ bool Engine::Restore(std::string_view snapshot) {
     events_accum_ = 0;
     parallel_edge_events_accum_ = 0;
     parallel_edge_hwm_ = 0;
-    parallel_stage_busy_.clear();
     shard_steals_accum_ = 0;
     shard_spilled_accum_ = 0;
     cost_accum_ = CostCounters{};
@@ -872,10 +837,6 @@ bool Engine::Restore(std::string_view snapshot) {
     }
     if (!r.U8(&u8v)) return fail("truncated fingerprint");
     if (u8v != static_cast<uint8_t>(options_.mode)) return mismatch("mode");
-    if (!r.U32(&u32v)) return fail("truncated fingerprint");
-    if (u32v != static_cast<uint32_t>(options_.worker_threads)) {
-      return mismatch("worker_threads");
-    }
     if (!r.U32(&u32v)) return fail("truncated fingerprint");
     const uint32_t resolved_shards =
         options_.mode == ExecutionMode::kSharded
@@ -955,18 +916,8 @@ bool Engine::Restore(std::string_view snapshot) {
   surgery_cap_.Assert();
   uint64_t events = 0, edge_events = 0, edge_hwm = 0, steals = 0,
            spilled = 0;
-  uint32_t busy_count = 0;
   if (!r.U64(&events) || !r.U64(&edge_events) || !r.U64(&edge_hwm) ||
-      !ReadCount(&r, &busy_count)) {
-    return fail("truncated accumulator section");
-  }
-  std::vector<double> stage_busy(busy_count, 0.0);
-  for (uint32_t i = 0; i < busy_count; ++i) {
-    if (!r.Double(&stage_busy[i])) {
-      return fail("truncated accumulator section");
-    }
-  }
-  if (!r.U64(&steals) || !r.U64(&spilled)) {
+      !r.U64(&steals) || !r.U64(&spilled)) {
     return fail("truncated accumulator section");
   }
   CostCounters cost;
@@ -1075,7 +1026,6 @@ bool Engine::Restore(std::string_view snapshot) {
   events_accum_ = events;
   parallel_edge_events_accum_ = edge_events;
   parallel_edge_hwm_ = static_cast<size_t>(edge_hwm);
-  parallel_stage_busy_ = std::move(stage_busy);
   shard_steals_accum_ = steals;
   shard_spilled_accum_ = spilled;
   cost_accum_ = cost;
@@ -1311,9 +1261,8 @@ bool Engine::Restore(std::string_view snapshot) {
 
   // Workers last: everything above mutated plan structure and operator
   // state, which requires the quiescent, single-thread view.
-  if (running() && !finished_) {
-    if (options_.mode == ExecutionMode::kParallel) StartParallel();
-    if (options_.mode == ExecutionMode::kSharded) StartSharded();
+  if (running() && !finished_ && options_.mode == ExecutionMode::kSharded) {
+    StartSharded();
   }
   return true;
 }
@@ -1322,10 +1271,8 @@ bool Engine::Restore(std::string_view snapshot) {
 
 void Engine::CheckPlanInvariants() {
   if (!running()) return;
-  const bool had_workers =
-      par_scheduler_ != nullptr || shard_scheduler_ != nullptr;
-  if (par_scheduler_ != nullptr) PauseParallel();
-  if (shard_scheduler_ != nullptr) PauseSharded();
+  const bool had_workers = shard_scheduler_ != nullptr;
+  if (had_workers) PauseSharded();
   const auto check_plan = [](const BuiltPlan& built) {
     if (!built.slices.empty() && built.num_levels == 1) {
       // Single-level chain: full metadata + per-state index validation.

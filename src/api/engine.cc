@@ -12,12 +12,17 @@
 namespace stateslice {
 namespace {
 
-// Folds `from` into `into` category by category (CostCounters are atomic
-// sums, not directly addable).
+// Folds `from` into `into` category by category, logical and physical
+// (CostCounters are atomic sums, not directly addable).
 void AddCost(const CostCounters& from, CostCounters* into) {
   for (int c = 0; c < static_cast<int>(CostCategory::kCategoryCount); ++c) {
     const auto category = static_cast<CostCategory>(c);
     into->Add(category, from.Get(category));
+  }
+  for (int c = 0; c < static_cast<int>(PhysCategory::kPhysCategoryCount);
+       ++c) {
+    const auto category = static_cast<PhysCategory>(c);
+    into->AddPhysical(category, from.GetPhysical(category));
   }
 }
 
@@ -35,7 +40,6 @@ Engine::Engine(Options options)
       created_(std::chrono::steady_clock::now()) {}
 
 Engine::~Engine() {
-  if (par_scheduler_ != nullptr) PauseParallel();
   if (shard_scheduler_ != nullptr) PauseSharded();
 }
 
@@ -431,9 +435,6 @@ void Engine::BuildPlan() {
     const QueryRecord* rec = FindRecord(sub.query_token);
     if (rec != nullptr && rec->active) WireSubscription(&sub);
   }
-  if (options_.mode == ExecutionMode::kParallel && !finished_) {
-    StartParallel();
-  }
   if (options_.mode == ExecutionMode::kSharded && !finished_) {
     StartSharded();
   }
@@ -462,20 +463,21 @@ void Engine::HarvestSinks() {
   }
 }
 
-void Engine::FoldPlanCost() {
+CostCounters Engine::TotalCost() const {
+  CostCounters cost = cost_accum_;
   if (sharded_ != nullptr) {
     for (const BuiltPlan& shard : sharded_->shards) {
-      AddCost(shard.plan->cost_counters(), &cost_accum_);
+      AddCost(shard.plan->cost_counters(), &cost);
     }
-    AddCost(sharded_->merge.plan->cost_counters(), &cost_accum_);
-    return;
+    AddCost(sharded_->merge.plan->cost_counters(), &cost);
+  } else if (built_.plan != nullptr) {
+    AddCost(built_.plan->cost_counters(), &cost);
   }
-  AddCost(built_.plan->cost_counters(), &cost_accum_);
+  return cost;
 }
 
 void Engine::TearDownPlan() {
   SLICE_CHECK(running());
-  if (par_scheduler_ != nullptr) PauseParallel();
   if (sharded_ != nullptr) {
     PauseSharded();  // no-op if already paused
     // Flush each replica: drain, Finish (emits the kMaxTime punctuations
@@ -511,7 +513,7 @@ void Engine::TearDownPlan() {
     mdrain.RunUntilQuiescent();
     events_accum_ += mdrain.total_processed();
     HarvestSinks();
-    FoldPlanCost();
+    cost_accum_ = TotalCost();
     sharded_.reset();
     for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
     return;
@@ -533,50 +535,13 @@ void Engine::TearDownPlan() {
     det_scheduler_.reset();
   }
   HarvestSinks();
-  FoldPlanCost();
+  cost_accum_ = TotalCost();
   built_ = BuiltPlan{};
   for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
 }
 
-void Engine::StartParallel() {
-  SLICE_CHECK(running());
-  SLICE_CHECK(par_scheduler_ == nullptr);
-  ParallelSchedulerOptions popt;
-  const unsigned hw = std::thread::hardware_concurrency();  // may be 0
-  popt.num_workers = options_.worker_threads > 0
-                         ? options_.worker_threads
-                         : static_cast<int>(hw > 1 ? hw - 1 : 1);
-  popt.edge_capacity = options_.parallel_edge_capacity;
-  if (options_.run_length > 0) popt.quantum = options_.run_length;
-  popt.finish_at_end = false;  // the engine flushes explicitly at teardown
-  par_scheduler_ =
-      std::make_unique<ParallelScheduler>(built_.plan.get(), popt);
-  par_scheduler_->Start();
-  last_parallel_stages_ = par_scheduler_->num_stages();
-}
-
-void Engine::PauseParallel() {
-  if (par_scheduler_ == nullptr) return;
-  par_scheduler_->FinishInput();
-  par_scheduler_->Join();
-  // Hand the segment's unreported progress to Poll before the scheduler
-  // (and its counter) goes away.
-  poll_pending_ +=
-      par_scheduler_->total_processed() - poll_segment_reported_;
-  poll_segment_reported_ = 0;
-  events_accum_ += par_scheduler_->total_processed();
-  parallel_edge_events_accum_ += par_scheduler_->edges_total_pushed();
-  parallel_edge_hwm_ =
-      std::max(parallel_edge_hwm_, par_scheduler_->edges_high_water_mark());
-  // Occupancy is a per-segment ratio, not a sum: keep the latest segment's
-  // fractions (benches pause exactly once, after the measured feed).
-  parallel_stage_busy_ = par_scheduler_->stage_busy_fractions();
-  par_scheduler_.reset();
-}
-
 int Engine::ShardCount() const {
   if (options_.shard_count > 0) return options_.shard_count;
-  if (options_.worker_threads > 0) return options_.worker_threads;
   const unsigned hw = std::thread::hardware_concurrency();  // may be 0
   return static_cast<int>(hw > 1 ? hw - 1 : 1);
 }
@@ -609,9 +574,7 @@ void Engine::PauseSharded() {
 }
 
 void Engine::QuiesceForSurgery() {
-  if (par_scheduler_ != nullptr) {
-    PauseParallel();
-  } else if (shard_scheduler_ != nullptr) {
+  if (shard_scheduler_ != nullptr) {
     PauseSharded();
   } else if (det_scheduler_ != nullptr) {
     det_scheduler_->RunUntilQuiescent();
@@ -619,11 +582,6 @@ void Engine::QuiesceForSurgery() {
 }
 
 void Engine::ResumeAfterSurgery() {
-  if (running() && !finished_ &&
-      options_.mode == ExecutionMode::kParallel &&
-      par_scheduler_ == nullptr) {
-    StartParallel();
-  }
   if (running() && !finished_ &&
       options_.mode == ExecutionMode::kSharded &&
       shard_scheduler_ == nullptr) {
@@ -711,9 +669,7 @@ void Engine::Push(StreamId stream, Tuple&& tuple) {
   }
   watermark_ = tuple.timestamp;
   ++input_tuples_;
-  if (par_scheduler_ != nullptr) {
-    par_scheduler_->PushEntry(built_.entry, std::move(tuple));
-  } else if (shard_scheduler_ != nullptr) {
+  if (shard_scheduler_ != nullptr) {
     shard_scheduler_->PushEntry(Event(std::move(tuple)));
   } else {
     built_.entry->Push(std::move(tuple));
@@ -787,22 +743,10 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
   }
   watermark_ = last;
   input_tuples_ += tuples.size();
-  if (par_scheduler_ != nullptr) {
-    // The SPSC entry handoff wants a run it can publish with one
-    // release-store per ring segment, so stage the batch in the reused
-    // run buffer.
-    batch_run_.clear();
-    batch_run_.reserve(tuples.size());
-    for (const Tuple& t : tuples) {
-      Tuple staged = t;
-      staged.side = stream;
-      batch_run_.push_back(Event(std::move(staged)));
-    }
-    par_scheduler_->PushEntryRun(built_.entry, &batch_run_);
-  } else if (shard_scheduler_ != nullptr) {
-    // Same staging as parallel mode; the router partitions the run. A
-    // flush at the batch boundary bounds how long a partial spill run can
-    // sit staged in the router (batch-granular visibility).
+  if (shard_scheduler_ != nullptr) {
+    // Stage the batch in the reused run buffer; the router partitions the
+    // run. A flush at the batch boundary bounds how long a partial spill
+    // run can sit staged in the router (batch-granular visibility).
     batch_run_.clear();
     batch_run_.reserve(tuples.size());
     for (const Tuple& t : tuples) {
@@ -835,19 +779,12 @@ void Engine::PushBatch(StreamId stream, std::vector<Tuple>&& tuples) {
 }
 
 uint64_t Engine::Poll(uint64_t max_events) {
-  if (par_scheduler_ != nullptr) {
-    // Parallel mode: report pipeline progress since the last Poll. The
-    // engine is single-caller, so plain counters suffice; PauseParallel
-    // folds a finishing segment's remainder into poll_pending_.
-    const uint64_t current = par_scheduler_->total_processed();
-    const uint64_t delta = poll_pending_ + (current - poll_segment_reported_);
-    poll_segment_reported_ = current;
-    poll_pending_ = 0;
-    return delta;
-  }
   if (shard_scheduler_ != nullptr) {
     // Flush the router's staged spill runs so single-Push feeds make
-    // progress even below the spill-run granule, then report as above.
+    // progress even below the spill-run granule, then report the workers'
+    // progress since the last Poll. The engine is single-caller, so plain
+    // counters suffice; PauseSharded folds a finishing segment's remainder
+    // into poll_pending_.
     shard_scheduler_->FlushInput();
     const uint64_t current = shard_scheduler_->total_processed();
     const uint64_t delta = poll_pending_ + (current - poll_segment_reported_);
@@ -855,7 +792,7 @@ uint64_t Engine::Poll(uint64_t max_events) {
     poll_pending_ = 0;
     return delta;
   }
-  // A paused or finished parallel engine still owes the remainder folded
+  // A paused or finished sharded engine still owes the remainder folded
   // in at the last pause; deterministic engines keep poll_pending_ at 0.
   const uint64_t carried = poll_pending_;
   poll_pending_ = 0;
@@ -865,10 +802,7 @@ uint64_t Engine::Poll(uint64_t max_events) {
 
 void Engine::Drain() {
   if (!running()) return;
-  if (par_scheduler_ != nullptr) {
-    PauseParallel();  // pipeline barrier: workers drain everything
-    ResumeAfterSurgery();
-  } else if (shard_scheduler_ != nullptr) {
+  if (shard_scheduler_ != nullptr) {
     PauseSharded();  // shard barrier: all routed input reaches the sinks
     ResumeAfterSurgery();
   } else if (det_scheduler_ != nullptr) {
@@ -948,7 +882,7 @@ bool Engine::Unsubscribe(SubscriptionId id) {
 }
 
 void Engine::WireSubscription(SubscriptionRecord* sub) {
-  // Callers hold surgery_cap_ (REQUIRES), so the pipeline is quiescent and
+  // Callers hold surgery_cap_ (REQUIRES), so the workers are quiescent and
   // the plan structure is this thread's to mutate. Sharded mode taps the
   // merge plan (the only stream carrying globally ordered results), so
   // callbacks fire on the merge worker thread.
@@ -980,10 +914,8 @@ uint64_t Engine::ResultCount(QueryHandle handle) {
       result_plan().sinks[rec->query.id] != nullptr) {
     // Pause workers (if any) for a quiescent, synchronized read; a
     // deterministic engine stays lazy (Poll/auto_drain drive progress).
-    const bool had_workers =
-        par_scheduler_ != nullptr || shard_scheduler_ != nullptr;
-    if (par_scheduler_ != nullptr) PauseParallel();
-    if (shard_scheduler_ != nullptr) PauseSharded();
+    const bool had_workers = shard_scheduler_ != nullptr;
+    if (had_workers) PauseSharded();
     total += result_plan().sinks[rec->query.id]->result_count();
     if (had_workers) ResumeAfterSurgery();
   }
@@ -996,10 +928,8 @@ std::map<std::string, int> Engine::CollectedResults(QueryHandle handle) {
   std::map<std::string, int> results = rec->collected;
   if (rec->active && running() &&
       result_plan().collectors[rec->query.id] != nullptr) {
-    const bool had_workers =
-        par_scheduler_ != nullptr || shard_scheduler_ != nullptr;
-    if (par_scheduler_ != nullptr) PauseParallel();
-    if (shard_scheduler_ != nullptr) PauseSharded();
+    const bool had_workers = shard_scheduler_ != nullptr;
+    if (had_workers) PauseSharded();
     MergeMultiset(result_plan().collectors[rec->query.id]->ResultMultiset(),
                   &results);
     if (had_workers) ResumeAfterSurgery();
@@ -1061,16 +991,11 @@ int Engine::CompactChain() {
 RunStats Engine::Snapshot() {
   RunStats stats;
   stats.mode = options_.mode;
-  stats.worker_threads =
-      options_.mode == ExecutionMode::kParallel
-          ? std::max(last_parallel_stages_, 1)
-          : (options_.mode == ExecutionMode::kSharded
-                 ? std::max(last_shard_count_, 1)
-                 : 1);
-  const bool had_workers =
-      par_scheduler_ != nullptr || shard_scheduler_ != nullptr;
-  if (par_scheduler_ != nullptr) PauseParallel();  // quiescent snapshot
-  if (shard_scheduler_ != nullptr) PauseSharded();
+  stats.worker_threads = options_.mode == ExecutionMode::kSharded
+                             ? std::max(last_shard_count_, 1)
+                             : 1;
+  const bool had_workers = shard_scheduler_ != nullptr;
+  if (had_workers) PauseSharded();  // quiescent snapshot
   // Either the pause above joined the workers, or none existed
   // (deterministic mode / idle): the accumulators are this thread's.
   surgery_cap_.Assert();
@@ -1094,18 +1019,7 @@ RunStats Engine::Snapshot() {
   stats.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - created_)
                            .count();
-  CostCounters cost = cost_accum_;
-  if (running()) {
-    if (sharded_ != nullptr) {
-      for (const BuiltPlan& shard : sharded_->shards) {
-        AddCost(shard.plan->cost_counters(), &cost);
-      }
-      AddCost(sharded_->merge.plan->cost_counters(), &cost);
-    } else {
-      AddCost(built_.plan->cost_counters(), &cost);
-    }
-  }
-  stats.cost = cost;
+  stats.cost = TotalCost();
   stats.memory_samples = memory_samples_;
   if (running()) {
     MemorySample sample{.time = watermark_};
@@ -1124,7 +1038,6 @@ RunStats Engine::Snapshot() {
   }
   stats.parallel_edge_events = parallel_edge_events_accum_;
   stats.parallel_edge_high_water_mark = parallel_edge_hwm_;
-  stats.stage_busy_fraction = parallel_stage_busy_;
   stats.shard_steals = shard_steals_accum_;
   stats.shard_spilled_runs = shard_spilled_accum_;
 
@@ -1133,14 +1046,13 @@ RunStats Engine::Snapshot() {
 }
 
 std::vector<Engine::SliceInfo> Engine::ChainSlices() {
+  // Sharded engines keep their chains in the replicas (built_ is empty),
+  // and a deterministic engine has no workers to pause.
   if (!running() || built_.slices.empty()) return {};
-  const bool was_parallel = par_scheduler_ != nullptr;
-  if (was_parallel) PauseParallel();
   std::vector<SliceInfo> info;
   for (const BuiltSlice& slice : built_.slices) {
     info.push_back(SliceInfo{slice.join->range(), slice.join->StateSize()});
   }
-  if (was_parallel) ResumeAfterSurgery();
   return info;
 }
 

@@ -42,17 +42,11 @@
 // over its post-ResultsFrom suffix, segmented by the later cutoffs.
 //
 // Threading: the Engine itself is single-caller (one thread invokes its
-// methods). In ExecutionMode::kParallel it runs the multi-threaded pipeline
-// scheduler underneath; Push hands tuples to the workers, and surgery
-// points (register/unregister/subscribe/snapshot/drain) briefly pause the
-// pipeline (workers are joined, the plan is mutated in deterministic mode,
-// and a fresh pipeline resumes). Subscription callbacks fire on worker
-// threads in parallel mode.
-//
-// ExecutionMode::kSharded replaces the stage pipeline with key-partitioned
-// data parallelism: arrivals are hash-routed by join key into
-// Options::shard_count independent replicas of the shared plan (one worker
-// each, work-stealing between them for skewed key distributions), and a
+// methods). ExecutionMode::kDeterministic runs everything on that thread.
+// ExecutionMode::kSharded adds key-partitioned data parallelism: arrivals
+// are hash-routed by join key into Options::shard_count independent
+// replicas of the shared plan (one worker each, work-stealing between them
+// for skewed key distributions), and a
 // merge plan re-establishes global timestamp order before the sinks — see
 // src/runtime/sharded_scheduler.h. Sharded mode requires the equi-key join
 // condition (so equal keys meet in one replica) and time-based windows
@@ -63,7 +57,10 @@
 // slowest shard's watermark advances, so a mid-stream ResultCount can
 // trail the deterministic engine; after Finish() (or any drain-rebuild)
 // the delivered results are multiset- and order-identical. Subscription
-// callbacks fire on the merge worker thread.
+// callbacks fire on the merge worker thread. Push hands tuples to the
+// workers, and surgery points (register/unregister/subscribe/snapshot/
+// drain) briefly pause them: workers are joined, the plan is mutated on
+// the caller thread, and fresh workers resume.
 #ifndef STATESLICE_API_ENGINE_H_
 #define STATESLICE_API_ENGINE_H_
 
@@ -88,7 +85,6 @@
 #include "src/query/query.h"
 #include "src/runtime/execution_mode.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/parallel_scheduler.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/sharded_scheduler.h"
 
@@ -126,13 +122,10 @@ class Engine {
     // Keep per-query result multisets (CollectedResults); costs memory.
     bool collect_results = false;
     ExecutionMode mode = ExecutionMode::kDeterministic;
-    // kParallel: pipeline stages; 0 = hardware_concurrency() - 1.
-    int worker_threads = 0;
     // kSharded: key-partitioned plan replicas (one worker each);
-    // 0 = worker_threads (or its hardware default). Clamped to >= 1.
+    // 0 = hardware_concurrency() - 1, at least 1.
     int shard_count = 0;
-    // kParallel: per-edge SPSC ring capacity, in events. kSharded reuses
-    // it for the per-shard ingress rings.
+    // kSharded: capacity of each shard's ingress ring, in events.
     size_t parallel_edge_capacity = 256;
     JoinCondition condition = JoinCondition::EquiKey();
     // CPU-Opt objective inputs (stream rates, S1, C_sys).
@@ -146,9 +139,9 @@ class Engine {
     // Run length: max events a scheduler visit drains from one queue into
     // an Operator::OnRun call. 0 keeps the per-mode defaults (8 for the
     // deterministic round-robin quantum — the paper-faithful CAPE setting
-    // the figure benches assume — and 64 for the parallel per-ring
-    // quantum). Larger runs amortize dispatch at the cost of per-queue
-    // latency; event order within a queue is unaffected.
+    // the figure benches assume — and the sharded scheduler's own
+    // per-ring quantum). Larger runs amortize dispatch at the cost of
+    // per-queue latency; event order within a queue is unaffected.
     int run_length = 0;
   };
 
@@ -217,17 +210,17 @@ class Engine {
 
   // Deterministic mode with auto_drain=false: processes up to `max_events`
   // pending events and returns how many ran (< max_events implies
-  // quiescence). In parallel mode the worker pipeline processes
-  // continuously; Poll never runs work itself and instead returns the
-  // number of events the pipeline processed since the last Poll (a relaxed
-  // snapshot; `max_events` is ignored). Returns 0 on an idle engine.
+  // quiescence). In sharded mode the workers process continuously; Poll
+  // never runs work itself and instead returns the number of events the
+  // workers processed since the last Poll (a relaxed snapshot;
+  // `max_events` is ignored). Returns 0 on an idle engine.
   uint64_t Poll(uint64_t max_events = 4096);
 
   // Processes everything in flight. In deterministic mode this drains the
-  // plan to quiescence on the calling thread. In parallel mode it is a
-  // pipeline barrier: workers are joined (draining all in-flight events),
-  // their counters fold into the engine totals, and a fresh pipeline
-  // resumes — expensive, so prefer Poll for progress monitoring.
+  // plan to quiescence on the calling thread. In sharded mode it is a
+  // barrier: workers are joined (draining all in-flight events), their
+  // counters fold into the engine totals, and fresh workers resume —
+  // expensive, so prefer Poll for progress monitoring.
   void Drain();
 
   // Declares end of input: flushes end-of-stream punctuations, delivers
@@ -242,12 +235,12 @@ class Engine {
   bool Unsubscribe(SubscriptionId id);
 
   // Results delivered to the query so far (across all plan epochs). On a
-  // running parallel engine this briefly pauses the pipeline for a
+  // running sharded engine this briefly pauses the workers for a
   // consistent read — prefer one Snapshot() over per-handle loops there.
   uint64_t ResultCount(QueryHandle handle);
 
   // Result multiset (JoinPairKey -> count) delivered to the query, across
-  // all plan epochs. Requires Options::collect_results. Same parallel-mode
+  // all plan epochs. Requires Options::collect_results. Same sharded-mode
   // pause note as ResultCount.
   std::map<std::string, int> CollectedResults(QueryHandle handle);
 
@@ -304,8 +297,8 @@ class Engine {
 
   // --- introspection ----------------------------------------------------
   // Unified run metrics across all plan epochs: volumes, cost counters,
-  // memory samples, wall/virtual time. Briefly pauses the pipeline in
-  // parallel mode so the numbers are a consistent quiescent snapshot.
+  // memory samples, wall/virtual time. Briefly pauses the workers in
+  // sharded mode so the numbers are a consistent quiescent snapshot.
   RunStats Snapshot();
 
   // Live slice ranges and state sizes of the current chain (empty for
@@ -375,9 +368,9 @@ class Engine {
 
   // Plan-surgery exclusion (checked under Clang -Wthread-safety): the
   // methods below mutate plan structure or the fold-in metric accumulators,
-  // which in parallel mode are also touched when workers are joined. They
-  // require surgery_cap_ — the "pipeline is quiescent and this thread has
-  // the engine to itself" capability. QuiesceForSurgery (and PauseParallel,
+  // which in sharded mode are also touched when workers are joined. They
+  // require surgery_cap_ — the "workers are quiescent and this thread has
+  // the engine to itself" capability. QuiesceForSurgery (and PauseSharded,
   // which joins the workers) establish it; surgery entry points that are
   // trivially exclusive (idle engine, deterministic mode) assert it with a
   // justification comment.
@@ -389,14 +382,13 @@ class Engine {
   // current plan. The engine is idle afterwards.
   void TearDownPlan() STATESLICE_REQUIRES(surgery_cap_);
   void HarvestSinks() STATESLICE_REQUIRES(surgery_cap_);
-  void FoldPlanCost() STATESLICE_REQUIRES(surgery_cap_);
+  // The folded cost accumulators plus the live plans' counters, logical
+  // and physical.
+  CostCounters TotalCost() const STATESLICE_REQUIRES(surgery_cap_);
 
-  void StartParallel();
-  // Joins the workers and folds their counters; after it returns no other
-  // thread touches engine state, which is exactly surgery_cap_.
-  void PauseParallel() STATESLICE_ASSERT_CAPABILITY(surgery_cap_);
-  // kSharded analogues of StartParallel/PauseParallel: launch / join the
-  // shard workers + merge worker over sharded_.
+  // Launch / join the shard workers + merge worker over sharded_.
+  // PauseSharded folds their counters; after it returns no other thread
+  // touches engine state, which is exactly surgery_cap_.
   void StartSharded();
   void PauseSharded() STATESLICE_ASSERT_CAPABILITY(surgery_cap_);
   int ShardCount() const;
@@ -406,7 +398,7 @@ class Engine {
     return sharded_ != nullptr ? sharded_->merge : built_;
   }
   // Brings the plan to a quiescent, deterministic-mode state so plan
-  // surgery is legal; ResumeAfterSurgery restarts the pipeline if needed.
+  // surgery is legal; ResumeAfterSurgery restarts the workers if needed.
   void QuiesceForSurgery() STATESLICE_ASSERT_CAPABILITY(surgery_cap_);
   void ResumeAfterSurgery();
 
@@ -428,8 +420,6 @@ class Engine {
 
   BuiltPlan built_;  // built_.plan == nullptr while idle
   std::unique_ptr<RoundRobinScheduler> det_scheduler_;
-  std::unique_ptr<ParallelScheduler> par_scheduler_;
-  int last_parallel_stages_ = 0;
   // kSharded: the shard replicas + merge plan (built_ stays empty), and
   // the scheduler threading them while running.
   std::unique_ptr<ShardedPlanSet> sharded_;
@@ -440,8 +430,8 @@ class Engine {
   int max_streams_ = 0;  // streams read by active queries (Push drop check)
   // Reused PushBatch staging run (single-caller engine: one suffices).
   EventRun batch_run_;
-  // Parallel-mode Poll bookkeeping (single-caller thread): events reported
-  // from finished pipeline segments not yet returned by Poll, and how much
+  // Sharded-mode Poll bookkeeping (single-caller thread): events reported
+  // from finished worker segments not yet returned by Poll, and how much
   // of the *current* segment's total_processed() Poll already reported.
   uint64_t poll_pending_ = 0;
   uint64_t poll_segment_reported_ = 0;
@@ -466,8 +456,6 @@ class Engine {
   uint64_t parallel_edge_events_accum_ STATESLICE_GUARDED_BY(surgery_cap_) =
       0;
   size_t parallel_edge_hwm_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
-  std::vector<double> parallel_stage_busy_
-      STATESLICE_GUARDED_BY(surgery_cap_);
   uint64_t shard_steals_accum_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
   uint64_t shard_spilled_accum_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
   CostCounters cost_accum_ STATESLICE_GUARDED_BY(surgery_cap_);
@@ -475,7 +463,7 @@ class Engine {
       STATESLICE_GUARDED_BY(surgery_cap_);
   std::chrono::steady_clock::time_point created_;
 
-  // "Pipeline quiescent, this thread owns the engine" (see the surgery
+  // "Workers quiescent, this thread owns the engine" (see the surgery
   // section above).
   ThreadRole surgery_cap_;
 };

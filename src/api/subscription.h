@@ -3,9 +3,9 @@
 // Engine::Subscribe(handle, callback) attaches a CallbackSink to the
 // query's output path, next to its counting (and optional collecting)
 // sinks. The callback fires once per delivered JoinResult, in the query's
-// delivery order. In ExecutionMode::kParallel the callback runs on an
-// engine worker thread — callbacks must be thread-compatible and cheap, or
-// they become pipeline backpressure.
+// delivery order. In ExecutionMode::kSharded the callback runs on the
+// engine's merge worker thread — callbacks must be thread-compatible and
+// cheap, or they become backpressure on every shard.
 #ifndef STATESLICE_API_SUBSCRIPTION_H_
 #define STATESLICE_API_SUBSCRIPTION_H_
 

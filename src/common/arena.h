@@ -12,9 +12,10 @@
 // hold arena-backed tuples (the Arena is the plan's first-declared member).
 //
 // Allocation is mutex-protected: spills are rare (N-way composites beyond 4
-// constituents) and the parallel scheduler's stage workers share the plan
-// arena, so a lock beats per-thread arenas that would strand freelist blocks
-// on the wrong thread. The steady-state path (<= 4 constituents) never calls
+// constituents) and a sharded replica's arena is used by whichever worker
+// holds its execution token (src/runtime/sharded_scheduler.h), so a lock
+// beats per-thread arenas that would strand freelist blocks on the wrong
+// thread. The steady-state path (<= 4 constituents) never calls
 // into the arena at all.
 //
 // Which arena a copy draws from is ambient: schedulers install the plan's

@@ -46,9 +46,10 @@ enum class PhysCategory : int {
   kPhysCategoryCount = 3,
 };
 
-// Additive counters shared by every operator of a plan. The parallel
-// scheduler (src/runtime/parallel_scheduler.h) runs operators of one plan
-// on several threads, so the per-category counts are relaxed atomics:
+// Additive counters shared by every operator of a plan. In sharded mode a
+// replica's operators run on whichever worker holds its execution token
+// (src/runtime/sharded_scheduler.h), so the per-category counts are
+// relaxed atomics:
 // charges are commutative sums with no ordering requirement, and the
 // uncontended fetch_add is negligible next to the probe loops that
 // produce the counts. Copies (RunStats snapshots) are plain value copies

@@ -1,10 +1,10 @@
 // Portable Clang Thread Safety Analysis annotations.
 //
-// The parallel runtime shares mutable state across threads without locks:
+// The sharded runtime shares mutable state across threads without locks:
 // SPSC rings partition access by *role* (one producer thread, one consumer
-// thread), pipeline stages partition operators by *owning worker*, and the
-// Engine serializes plan surgery against ingestion by *quiescing* the
-// pipeline first. Those contracts used to live in comments and runtime
+// thread), an execution token makes one worker the sole executor of a
+// shard replica, and the Engine serializes plan surgery against ingestion
+// by *quiescing* the workers first. Those contracts used to live in comments and runtime
 // CHECKs only; the macros below make them machine-checked when compiling
 // with Clang's -Wthread-safety (enabled automatically for Clang builds, and
 // fatal under STATESLICE_WERROR). Off Clang every macro expands to nothing,
@@ -77,8 +77,8 @@ namespace stateslice {
 
 // A *thread role*: a capability that is conferred by the threading design
 // rather than by a lock — "the producer side of this ring", "the worker
-// owning this stage", "the (single) API caller thread, with the pipeline
-// quiescent". Code that establishes a role at runtime calls Assert() once,
+// holding this shard's token", "the (single) API caller thread, with the
+// workers quiescent". Code that establishes a role at runtime calls Assert() once,
 // with a comment saying why the role holds; the analysis then checks that
 // all role-guarded state is only touched downstream of such an assertion.
 //

@@ -29,7 +29,7 @@ class Arena;
 // the stream in a query's ordered FROM list. A binary join reads streams 0
 // and 1; an N-way join tree reads streams 0..N-1. A narrow integer: the id
 // lives in every Tuple, and keeping the tuple at 40 bytes matters to the
-// queue-bound parallel runtime.
+// queue-bound sharded runtime.
 using StreamId = int16_t;
 
 // Maximum number of streams a single query (and hence a shared join tree)

@@ -142,10 +142,6 @@ class SlicedWindowJoin : public Operator {
            state_c_.size() * static_cast<size_t>(options_.left_arity);
   }
 
-  // Joins dominate per-event cost (cross-purge + probe over window state);
-  // weigh them heavily so stage partitioning splits the chain evenly.
-  double SchedulingWeight() const override { return 8.0; }
-
   const SliceRange& range() const { return range_; }
   const JoinState& state_a() const { return state_a_; }
   const JoinState& state_b() const { return state_b_; }

@@ -64,9 +64,6 @@ class SlidingWindowJoin : public Operator {
     return state_a_.size() + state_b_.size();
   }
 
-  // See SlicedWindowJoin::SchedulingWeight.
-  double SchedulingWeight() const override { return 8.0; }
-
   const JoinState& state_a() const { return state_a_; }
   const JoinState& state_b() const { return state_b_; }
 

@@ -12,11 +12,6 @@ namespace stateslice {
 //  - kDeterministic: the single-threaded round-robin scheduler of
 //    src/runtime/scheduler.h (CAPE's policy, paper Section 7.1). The
 //    reference for correctness; supports online migration.
-//  - kParallel: the multi-threaded pipeline scheduler of
-//    src/runtime/parallel_scheduler.h. Operators are partitioned into
-//    stages, one worker thread per stage, SPSC ring queues between stages.
-//    Plan surgery (the *WhileRunning hooks) is not allowed while a parallel
-//    execution is active.
 //  - kSharded: the key-partitioned scheduler of
 //    src/runtime/sharded_scheduler.h. Arrivals are hash-partitioned by the
 //    plan's equi-join key into N independent replicas of the sliced chain
@@ -24,11 +19,17 @@ namespace stateslice {
 //    for skewed key domains; a merge plan re-establishes timestamp order
 //    through UnionMerge before the authoritative sinks. Requires an
 //    equi-key join condition; plan surgery takes the drain-rebuild path.
+//
+// The values are stable: checkpoints record them.
 enum class ExecutionMode {
   kDeterministic = 0,
-  kParallel = 1,
   kSharded = 2,
 };
+
+// Stable lower-case name of `mode` ("deterministic", "sharded").
+constexpr const char* ExecutionModeName(ExecutionMode mode) {
+  return mode == ExecutionMode::kSharded ? "sharded" : "deterministic";
+}
 
 }  // namespace stateslice
 

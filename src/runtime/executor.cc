@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
@@ -43,11 +42,6 @@ void Executor::CollectSinkCounts(RunStats* stats) const {
 
 RunStats Executor::Run() {
   SLICE_CHECK(plan_->started());
-  return options_.mode == ExecutionMode::kParallel ? RunParallel()
-                                                   : RunDeterministic();
-}
-
-RunStats Executor::RunDeterministic() {
   RunStats stats;
   stats.mode = ExecutionMode::kDeterministic;
   stats.worker_threads = 1;
@@ -107,77 +101,6 @@ RunStats Executor::RunDeterministic() {
   stats.virtual_end_time = now;
   stats.events_processed = scheduler.total_processed();
   stats.cost = plan_->cost_counters();
-
-  CollectSinkCounts(&stats);
-  return stats;
-}
-
-RunStats Executor::RunParallel() {
-  RunStats stats;
-  stats.mode = ExecutionMode::kParallel;
-
-  ParallelSchedulerOptions sched_options;
-  // Default stage count leaves one core for this feeder thread, which
-  // busy-polls (spin/yield) whenever the entry ring is full; taking every
-  // core for stages would oversubscribe the machine by one thread.
-  const unsigned hw = std::thread::hardware_concurrency();  // may be 0
-  sched_options.num_workers =
-      options_.worker_threads > 0 ? options_.worker_threads
-                                  : static_cast<int>(hw > 1 ? hw - 1 : 1);
-  sched_options.edge_capacity = options_.parallel_edge_capacity;
-  sched_options.finish_at_end = options_.finish_at_end;
-  ParallelScheduler scheduler(plan_, sched_options);
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  scheduler.Start();
-  stats.worker_threads = scheduler.num_stages();
-
-  TimePoint now = 0;
-  bool cost_snapshotted = false;
-  for (;;) {
-    const SourceBinding* best = NextSource();
-    if (best == nullptr) break;  // all exhausted
-    const TimePoint best_time = best->source->NextTime();
-
-    // No periodic memory sampling here: walking operator state would race
-    // with the worker threads. The cost counters are atomic, so the
-    // steady-state snapshot still works (approximate: workers may lag the
-    // feed by the bounded queue capacities).
-    if (options_.cost_snapshot_time > 0 && !cost_snapshotted &&
-        best_time >= options_.cost_snapshot_time) {
-      stats.cost_at_snapshot = plan_->cost_counters();
-      stats.cost_snapshot_time = options_.cost_snapshot_time;
-      cost_snapshotted = true;
-    }
-
-    now = best_time;
-    scheduler.PushEntry(best->entry, best->source->PopNext());
-    ++stats.input_tuples;
-
-    if (options_.max_events > 0 &&
-        scheduler.total_processed() >= options_.max_events) {
-      break;
-    }
-  }
-  scheduler.FinishInput();
-  scheduler.Join();
-
-  const auto wall_end = std::chrono::steady_clock::now();
-  stats.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  stats.virtual_end_time = now;
-  stats.events_processed = scheduler.total_processed();
-  stats.parallel_edge_events = scheduler.edges_total_pushed();
-  stats.parallel_edge_high_water_mark = scheduler.edges_high_water_mark();
-  stats.stage_busy_fraction = scheduler.stage_busy_fractions();
-  stats.cost = plan_->cost_counters();
-
-  // One end-of-run sample so memory reporting is not entirely empty.
-  stats.memory_samples.push_back(MemorySample{
-      .time = now,
-      .state_tuples = plan_->TotalStateSize(),
-      .queue_events = plan_->TotalQueueSize(),
-  });
 
   CollectSinkCounts(&stats);
   return stats;

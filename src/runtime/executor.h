@@ -1,20 +1,12 @@
 // Executor: feeds sources into a plan and collects RunStats.
 //
 // The executor merges all stream sources into global timestamp order,
-// pushes each tuple into its entry queue, and lets a scheduler drain the
-// plan. Two execution modes exist (see ExecutionMode in plan.h):
-//
-//  - kDeterministic (default): the single-threaded round-robin scheduler.
-//    Memory is sampled every `sample_interval` of virtual time, which
-//    emulates CAPE's statistics monitor thread (paper Section 7.1) while
-//    remaining deterministic.
-//  - kParallel: the multi-threaded pipeline scheduler
-//    (src/runtime/parallel_scheduler.h). The feeder thread pushes tuples
-//    under SPSC backpressure while worker threads drain the stages.
-//    Periodic memory sampling is skipped (walking live operator state
-//    would race with the workers); a single end-of-run sample is recorded
-//    instead, and the cost snapshot remains available because the cost
-//    counters are atomic.
+// pushes each tuple into its entry queue, and lets the single-threaded
+// round-robin scheduler drain the plan (ExecutionMode::kDeterministic, the
+// CAPE policy of paper Section 7.1). Memory is sampled every
+// `sample_interval` of virtual time, which emulates CAPE's statistics
+// monitor thread while remaining deterministic. The threaded sharded mode
+// is served by the Engine only (src/api/engine.h).
 #ifndef STATESLICE_RUNTIME_EXECUTOR_H_
 #define STATESLICE_RUNTIME_EXECUTOR_H_
 
@@ -22,7 +14,6 @@
 #include <vector>
 
 #include "src/runtime/metrics.h"
-#include "src/runtime/parallel_scheduler.h"
 #include "src/runtime/plan.h"
 #include "src/runtime/queue.h"
 #include "src/runtime/scheduler.h"
@@ -48,11 +39,8 @@ struct ExecutorOptions {
   int feed_batch = 1;
   // Optional cap on total scheduler events (guards runaway tests); 0 = off.
   // This is a *feed cutoff*, not a hard processing stop: once crossed, no
-  // further tuples are fed, but work already in flight still drains. In
-  // deterministic mode the overshoot is bounded by feed_batch; in parallel
-  // mode by the contents of the bounded SPSC rings (the pipeline finishes
-  // what it has rather than dropping events mid-flight), so parallel
-  // events_processed can exceed the cap by up to the in-flight volume.
+  // further tuples are fed, but work already in flight still drains, so
+  // events_processed can exceed the cap by up to one feed_batch's worth.
   uint64_t max_events = 0;
   // Virtual time at which to snapshot the cost counters for steady-state
   // CPU accounting (0 = no snapshot). See RunStats::cost_at_snapshot.
@@ -60,14 +48,6 @@ struct ExecutorOptions {
   // If true, call plan->FinishAll() after sources drain so operators can
   // flush final punctuations, then drain again.
   bool finish_at_end = true;
-  // Scheduling mode: deterministic single-threaded round-robin (default)
-  // or the multi-threaded pipeline scheduler.
-  ExecutionMode mode = ExecutionMode::kDeterministic;
-  // kParallel only: worker threads (pipeline stages). 0 means
-  // std::thread::hardware_concurrency().
-  int worker_threads = 0;
-  // kParallel only: per-edge SPSC ring capacity, in events.
-  size_t parallel_edge_capacity = 256;
 };
 
 // Runs a started plan to completion over the given sources.
@@ -86,8 +66,6 @@ class Executor {
   RunStats Run();
 
  private:
-  RunStats RunDeterministic();
-  RunStats RunParallel();
   // Picks the source with the smallest next timestamp; nullptr when all
   // are exhausted.
   const SourceBinding* NextSource() const;

@@ -42,8 +42,8 @@ double RunStats::SteadyComparisonsPerVirtualSecond() const {
 
 std::string RunStats::DebugString() const {
   std::ostringstream out;
-  out << (mode == ExecutionMode::kParallel ? "parallel" : "deterministic")
-      << " workers=" << worker_threads << " inputs=" << input_tuples
+  out << ExecutionModeName(mode) << " workers=" << worker_threads
+      << " inputs=" << input_tuples
       << " events=" << events_processed
       << " results=" << results_delivered
       << " rejected=" << rejected_tuples

@@ -32,11 +32,11 @@ struct MemorySample {
   size_t queue_events = 0;  // sum of queue occupancies
 };
 
-// Aggregated outcome of one Executor run.
+// Aggregated outcome of one Executor run or Engine session.
 struct RunStats {
   // --- execution --------------------------------------------------------
   ExecutionMode mode = ExecutionMode::kDeterministic;
-  int worker_threads = 1;  // pipeline stages actually used (1 if determ.)
+  int worker_threads = 1;  // shard workers (kSharded); 1 if deterministic
 
   // --- volume -----------------------------------------------------------
   uint64_t input_tuples = 0;    // tuples fed from all sources
@@ -50,14 +50,11 @@ struct RunStats {
   // while no query is registered.
   uint64_t rejected_tuples = 0;
   std::vector<uint64_t> rejected_by_stream;
-  // kParallel only: events relayed over cross-stage SPSC rings, and the
-  // largest ring occupancy observed (queue-memory analogue). kSharded
-  // reuses both for its ingress + result rings.
+  // kSharded only: events relayed over the lock-free ingress and result
+  // rings, and the largest ring occupancy observed (queue-memory
+  // analogue). The names predate sharded mode and are kept for readers.
   uint64_t parallel_edge_events = 0;
   size_t parallel_edge_high_water_mark = 0;
-  // kParallel only: per-stage fraction of worker wall-clock spent moving
-  // events (vs idle-polling input rings), in stage order.
-  std::vector<double> stage_busy_fraction;
   // kSharded only: overflow runs executed by a non-owner worker, and runs
   // spilled from ingress rings into the overflow deques (stealable work).
   uint64_t shard_steals = 0;

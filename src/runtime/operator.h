@@ -55,12 +55,6 @@ class Operator {
   // operators flush end-of-stream punctuations.
   virtual void Finish() {}
 
-  // Relative per-event processing cost, used by the parallel scheduler to
-  // balance operators across pipeline stages. The unit is arbitrary; only
-  // ratios matter. Join operators (probe/purge loops over window state)
-  // override this to a heavier weight than pass-through operators.
-  virtual double SchedulingWeight() const { return 1.0; }
-
   // --- wiring (used by QueryPlan) -------------------------------------
 
   // Attaches `queue` as input port `port`. Growing the port vector as

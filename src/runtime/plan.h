@@ -90,18 +90,9 @@ class QueryPlan {
   consumer_edges() const {
     return consumer_edges_;
   }
-  // Producer operator -> queue pairs (entry queues have no producer and
-  // are absent). The parallel scheduler uses this to classify each queue
-  // edge by the pipeline stage of its producer.
-  const std::vector<std::pair<Operator*, EventQueue*>>& producer_edges()
-      const {
-    return producer_edges_;
-  }
 
   // Operators in a topological order following queue edges; CHECK-fails on
-  // a cycle. The parallel scheduler partitions this order into contiguous
-  // stages so that every cross-stage edge points forward (deadlock-free
-  // backpressure).
+  // a cycle. FinishAll flushes operators in this order.
   std::vector<Operator*> TopologicalOrder() const;
 
   CostCounters& cost_counters() { return cost_counters_; }
@@ -117,16 +108,15 @@ class QueryPlan {
 
   // --- execution-mode bookkeeping --------------------------------------
   // The active scheduler declares its mode for the duration of a run. The
-  // deterministic mode is the default; while a parallel execution is
-  // active, operators and queues are touched concurrently by worker
-  // threads, so plan surgery and whole-plan traversals from other threads
-  // are forbidden (the *WhileRunning hooks CHECK against it).
+  // deterministic mode is the default; while a sharded execution is
+  // active, operators and queues are touched by worker threads, so plan
+  // surgery and whole-plan traversals from other threads are forbidden
+  // (the *WhileRunning hooks CHECK against it).
   void BeginExecution(ExecutionMode mode) {
     SLICE_CHECK(active_mode_ == ExecutionMode::kDeterministic);
     active_mode_ = mode;
   }
   void EndExecution() { active_mode_ = ExecutionMode::kDeterministic; }
-  ExecutionMode active_mode() const { return active_mode_; }
 
   // Graphviz DOT rendering of the DAG for docs/debugging.
   std::string ToDot() const;
@@ -136,14 +126,14 @@ class QueryPlan {
   // "wire before Start()" rule; callers are responsible for quiescing the
   // affected region as described in the paper.
   //
-  // The "no migration while parallel" rule is enforced twice: at runtime by
+  // The "no migration while threaded" rule is enforced twice: at runtime by
   // the SLICE_CHECK against active_mode_, and at compile time (Clang
   // -Wthread-safety) by the structure-surgery role below — every hook
   // requires it, and the only way to obtain it is AssertSurgeryExclusive(),
-  // whose call sites must justify that the pipeline is quiescent.
+  // whose call sites must justify that the workers are quiescent.
 
   // Declares that the calling thread has exclusive access to plan
-  // structure: no parallel execution is active (workers joined, or the
+  // structure: no threaded execution is active (workers joined, or the
   // plan never left deterministic mode) and no other thread touches the
   // plan. Engine::QuiesceForSurgery establishes exactly this state.
   void AssertSurgeryExclusive() const

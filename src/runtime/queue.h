@@ -11,9 +11,9 @@
 //
 // Thread contract: an EventQueue is unsynchronized and must only ever be
 // touched by one thread at a time. The deterministic round-robin scheduler
-// (as in CAPE) trivially satisfies this; the parallel pipeline scheduler
-// satisfies it by assigning each queue to exactly one stage thread and
-// relaying cross-stage edges through SpscQueue rings
+// (as in CAPE) trivially satisfies this; the sharded scheduler satisfies it
+// by running each plan replica on the one worker holding its execution
+// token and relaying between threads only through SpscQueue rings
 // (src/runtime/spsc_queue.h). Pop()/Front() CHECK-fail on an empty queue.
 #ifndef STATESLICE_RUNTIME_QUEUE_H_
 #define STATESLICE_RUNTIME_QUEUE_H_

@@ -1,8 +1,6 @@
 // Key-partitioned shard-parallel scheduler with bounded work-stealing.
 //
-// Where the parallel pipeline scheduler splits the *plan* into stages
-// (task parallelism, capped by the heaviest stage), this scheduler splits
-// the *data*: a ShardRouter hash-partitions arrivals by equi-join key into
+// This scheduler splits the *data*, not the plan: a ShardRouter hash-partitions arrivals by equi-join key into
 // N independent replicas of the shared sliced chain (ShardedPlanSet), one
 // worker thread per shard. Each worker drives its replica with the
 // deterministic round-robin scheduler, so all operator code runs exactly
@@ -131,7 +129,7 @@ class ShardedScheduler {
   int num_shards() const { return plans_->num_shards(); }
 
   // Aggregate lock-free-edge accounting (ingress rings + result rings),
-  // for queue-memory reporting parity with the parallel scheduler.
+  // for queue-memory reporting (RunStats::parallel_edge_*).
   uint64_t edges_total_pushed() const;
   size_t edges_high_water_mark() const;
 

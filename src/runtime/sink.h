@@ -57,7 +57,7 @@ class CollectingSink : public Operator {
   std::map<std::string, int> ResultMultiset() const;
 
   // Result identity keys sorted by (timestamp, key): the timestamp-order
-  // canonical form for comparing a parallel run against the deterministic
+  // canonical form for comparing a sharded run against the deterministic
   // reference. Two runs that deliver the same results in the same
   // per-timestamp order compare equal even when same-timestamp ties were
   // released in a different arrival order.

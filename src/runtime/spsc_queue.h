@@ -1,11 +1,12 @@
 // Lock-free bounded single-producer/single-consumer ring queue.
 //
-// The parallel scheduler (src/runtime/parallel_scheduler.h) connects
-// pipeline stages with these rings: exactly one thread pushes and exactly
-// one thread pops, so a classic head/tail ring with acquire/release
-// ordering suffices — no locks, no CAS loops. Capacity is bounded, which is
-// what gives the pipeline backpressure: a producer whose downstream ring is
-// full must wait (spin/yield) until the consumer catches up.
+// The sharded scheduler (src/runtime/sharded_scheduler.h) connects the
+// router to each shard and each shard to the merge worker with these
+// rings: exactly one thread pushes and exactly one thread pops, so a
+// classic head/tail ring with acquire/release ordering suffices — no
+// locks, no CAS loops. Capacity is bounded, which is what gives the
+// workers backpressure: a producer whose downstream ring is full must wait
+// (spin/yield) or spill until the consumer catches up.
 //
 // The queue keeps the same accounting as the deterministic EventQueue
 // (high_water_mark / total_pushed) so queue-memory reporting works in both
@@ -64,8 +65,8 @@ inline constexpr std::memory_order kRunPublishOrder =
 //
 // The SPSC contract is machine-checked via two thread roles: TryPush
 // requires the producer role and TryPop the consumer role. A thread that
-// takes on a role (e.g. a pipeline worker designated as the sole consumer
-// of a cross-stage ring) declares it with AssertProducer()/AssertConsumer()
+// takes on a role (e.g. the merge worker, sole consumer of a shard's
+// result ring) declares it with AssertProducer()/AssertConsumer()
 // plus a comment justifying the claim; under Clang -Wthread-safety, calling
 // TryPush/TryPop — or touching the role-cached indices — without the
 // matching assertion in scope is a compile error.

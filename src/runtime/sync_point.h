@@ -1,7 +1,8 @@
 // Schedule-test instrumentation for the lock-free runtime primitives.
 //
-// The parallel pipeline's correctness rests on a small memory-ordering
-// protocol (SpscQueue's head/tail publication, the per-edge close flags).
+// The sharded runtime's correctness rests on a small memory-ordering
+// protocol (SpscQueue's head/tail publication, the shard execution tokens
+// and close flags).
 // Thread Safety Analysis proves *which thread* may touch what; it cannot
 // prove the protocol's memory orders correct — a single misplaced
 // memory_order_relaxed passes TSA, clang-tidy, and most TSan runs. The
@@ -69,7 +70,7 @@ class SchedHooks {
 
   // Pure scheduling yield (spin-loop bodies).
   virtual void SyncPoint(const char* tag) = 0;
-  // Yield after a fruitless attempt (ring full/empty, idle stage): the
+  // Yield after a fruitless attempt (ring full/empty, idle worker): the
   // thread makes no progress until another thread performs a modeled store.
   virtual void Futile(const char* tag) = 0;
 

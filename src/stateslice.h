@@ -86,7 +86,6 @@
 #include "src/runtime/executor.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/operator.h"
-#include "src/runtime/parallel_scheduler.h"
 #include "src/runtime/plan.h"
 #include "src/runtime/queue.h"
 #include "src/runtime/scheduler.h"

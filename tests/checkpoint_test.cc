@@ -176,17 +176,6 @@ TEST(CheckpointTest, RoundTripCountWindows) {
             MergedArrivals(workload), /*strict_order=*/true);
 }
 
-TEST(CheckpointTest, RoundTripParallel) {
-  const Workload workload = SmallWorkload(13);
-  Engine::Options options = BaseOptions(workload);
-  options.mode = ExecutionMode::kParallel;
-  options.worker_threads = 2;
-  // Parallel delivery interleaves across queries but each query's own
-  // stream stays ordered; the multiset/count comparison is the invariant.
-  RoundTrip(options, {PlainQuery(2, "Q1"), PlainQuery(4, "Q2")},
-            MergedArrivals(workload), /*strict_order=*/false);
-}
-
 TEST(CheckpointTest, RoundTripSharded) {
   // Sharded mode serves equi-key time-window workloads only.
   Workload workload = SmallWorkload(17);
@@ -431,12 +420,32 @@ TEST(CheckpointTest, OptionsFingerprintMismatchIsNamed) {
       << e1.last_error();
 
   Engine::Options wrong_mode = BaseOptions(workload);
-  wrong_mode.mode = ExecutionMode::kParallel;
-  wrong_mode.worker_threads = 2;
+  wrong_mode.mode = ExecutionMode::kSharded;
+  wrong_mode.shard_count = 2;
   Engine e2(wrong_mode);
   EXPECT_FALSE(e2.Restore(snapshot));
   EXPECT_NE(e2.last_error().find("mode"), std::string::npos)
       << e2.last_error();
+
+  // And the other way round: a sharded snapshot refuses a deterministic
+  // engine.
+  {
+    Workload equi = SmallWorkload(43, 6);
+    RekeyForEquiJoin(&equi, /*key_domain=*/16, /*seed=*/43);
+    Engine::Options sharded = BaseOptions(equi);
+    sharded.mode = ExecutionMode::kSharded;
+    sharded.shard_count = 2;
+    Engine source(sharded);
+    ASSERT_TRUE(source.RegisterQuery(PlainQuery(2, "Q1")).valid());
+    const std::vector<Tuple> merged = MergedArrivals(equi);
+    PushRange(&source, merged, 0, merged.size() / 2);
+    std::string sharded_snapshot;
+    ASSERT_TRUE(source.Checkpoint(&sharded_snapshot)) << source.last_error();
+    Engine det(BaseOptions(equi));
+    EXPECT_FALSE(det.Restore(sharded_snapshot));
+    EXPECT_NE(det.last_error().find("mode"), std::string::npos)
+        << det.last_error();
+  }
 
   Engine::Options wrong_condition = BaseOptions(workload);
   wrong_condition.condition = JoinCondition::ModSum(97, 13);

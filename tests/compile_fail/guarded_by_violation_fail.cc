@@ -1,6 +1,6 @@
-// MUST NOT COMPILE under Clang -Wthread-safety -Werror: a
-// ParallelScheduler-shaped worker counter is GUARDED_BY a thread role, and
-// Touch() writes it without holding the role.
+// MUST NOT COMPILE under Clang -Wthread-safety -Werror: a scheduler-shaped
+// worker counter is GUARDED_BY a thread role, and Touch() writes it
+// without holding the role.
 #include "src/common/thread_annotations.h"
 
 namespace {

@@ -111,16 +111,11 @@ void RunChurnFuzz(uint64_t seed, ExecutionMode mode) {
   options.collect_results = true;
   options.condition = workload.condition;
   options.mode = mode;
-  options.worker_threads = 3;
   options.shard_count = 1 + static_cast<int>(seed % 3);
   auto engine = std::make_unique<Engine>(options);
 
   SCOPED_TRACE("seed=" + std::to_string(seed) + " " +
-               config.DebugString() + " mode=" +
-               (mode == ExecutionMode::kParallel
-                    ? "parallel"
-                    : (mode == ExecutionMode::kSharded ? "sharded"
-                                                       : "determ.")));
+               config.DebugString() + " mode=" + ExecutionModeName(mode));
 
   std::vector<TrackedQuery> tracked;
   int serial = 0;
@@ -223,13 +218,6 @@ void RunChurnFuzz(uint64_t seed, ExecutionMode mode) {
 TEST(EngineChurnFuzzTest, Deterministic) {
   for (uint64_t seed = 1; seed <= 14; ++seed) {
     RunChurnFuzz(seed, ExecutionMode::kDeterministic);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(EngineChurnFuzzTest, Parallel) {
-  for (uint64_t seed = 101; seed <= 108; ++seed) {
-    RunChurnFuzz(seed, ExecutionMode::kParallel);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

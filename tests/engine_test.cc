@@ -135,22 +135,24 @@ TEST(EngineTest, PushDownRequiresSharedPredicate) {
   EXPECT_TRUE(engine.RegisterQuery(q3).valid());
 }
 
-// The PR's acceptance criterion: a query registered on an already-running
-// engine (tuples pushed before and after) delivers exactly the oracle
-// results over the post-registration suffix — for the state-slice chain
-// (in-place migration) and the pull-up/push-down baselines (drain-rebuild),
-// in deterministic and parallel execution modes.
+// A query registered on an already-running engine (tuples pushed before
+// and after) delivers exactly the oracle results over the
+// post-registration suffix — for the state-slice chain (in-place migration
+// in deterministic mode) and the pull-up/push-down baselines
+// (drain-rebuild), in deterministic and sharded execution modes. Sharded
+// mode needs an equi-key predicate and always rebuilds.
 class EngineMidStreamTest
     : public ::testing::TestWithParam<
           std::tuple<SharingStrategy, ExecutionMode>> {};
 
 TEST_P(EngineMidStreamTest, RegisterMidStreamDeliversSuffixOracle) {
   const auto [strategy, mode] = GetParam();
-  const Workload workload = SmallWorkload(17);
+  Workload workload = SmallWorkload(17);
+  if (mode == ExecutionMode::kSharded) RekeyForEquiJoin(&workload, 16, 17);
   Engine::Options options = BaseOptions(workload);
   options.strategy = strategy;
   options.mode = mode;
-  options.worker_threads = 3;
+  options.shard_count = 3;
   Engine engine(options);
 
   const QueryHandle h1 = engine.RegisterQuery(PlainQuery(2, "Q1"));
@@ -173,7 +175,8 @@ TEST_P(EngineMidStreamTest, RegisterMidStreamDeliversSuffixOracle) {
   PushRange(&engine, merged, split, merged.size());
   engine.Finish();
 
-  if (strategy == SharingStrategy::kStateSlice) {
+  if (strategy == SharingStrategy::kStateSlice &&
+      mode == ExecutionMode::kDeterministic) {
     // Served in place by ChainMigrator: zero rebuilds, existing queries
     // keep full continuity.
     EXPECT_EQ(engine.rebuilds(), 0u);
@@ -208,7 +211,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          SharingStrategy::kPullUp,
                                          SharingStrategy::kPushDown),
                        ::testing::Values(ExecutionMode::kDeterministic,
-                                         ExecutionMode::kParallel)));
+                                         ExecutionMode::kSharded)));
 
 TEST(EngineTest, RegisterMidStreamWithSelectionFallsBackToRebuild) {
   // Selections make the chain ineligible for ChainMigrator, so the engine
@@ -467,23 +470,24 @@ TEST(EngineTest, ManualPollMode) {
                        workload.condition, PlainQuery(4)));
 }
 
-TEST(EngineTest, ParallelMatchesDeterministic) {
-  const Workload workload = SmallWorkload(53);
+TEST(EngineTest, ShardedMatchesDeterministic) {
+  Workload workload = SmallWorkload(53);
+  RekeyForEquiJoin(&workload, 16, 53);
   const std::vector<Tuple> merged = MergedArrivals(workload);
   std::map<std::string, int> results[2];
-  for (int parallel = 0; parallel < 2; ++parallel) {
+  for (int sharded = 0; sharded < 2; ++sharded) {
     Engine::Options options = BaseOptions(workload);
-    options.mode = parallel == 1 ? ExecutionMode::kParallel
-                                 : ExecutionMode::kDeterministic;
-    options.worker_threads = 3;
+    options.mode = sharded == 1 ? ExecutionMode::kSharded
+                                : ExecutionMode::kDeterministic;
+    options.shard_count = 3;
     Engine engine(options);
     ContinuousQuery q = PlainQuery(4, "Q1");
     q.selection_a = Predicate::GreaterThan(0.2);
     const QueryHandle h = engine.RegisterQuery(q);
     PushRange(&engine, merged, 0, merged.size());
     engine.Finish();
-    results[parallel] = engine.CollectedResults(h);
-    EXPECT_FALSE(results[parallel].empty());
+    results[sharded] = engine.CollectedResults(h);
+    EXPECT_FALSE(results[sharded].empty());
   }
   EXPECT_EQ(results[0], results[1]);
 }
@@ -589,6 +593,59 @@ TEST(EngineTest, PlanDotAndChainSlices) {
   EXPECT_EQ(slices[0].range.start, 0);
   EXPECT_EQ(slices[0].range.end, SecondsToTicks(2));
   EXPECT_EQ(slices[1].range.end, SecondsToTicks(4));
+}
+
+TEST(EngineTest, SnapshotOfLiveSessionCarriesPhysicalCounters) {
+  // Equi-key chains probe through the key index, so a live session has
+  // done key lookups. Snapshot() must report them while the plan runs,
+  // and a restored engine (whose accumulators come from the checkpoint)
+  // must report the same totals before it does any work of its own.
+  Workload workload = SmallWorkload(71, 6);
+  RekeyForEquiJoin(&workload, 16, 71);
+  Engine engine(BaseOptions(workload));
+  ASSERT_TRUE(engine.RegisterQuery(PlainQuery(2, "Q1")).valid());
+  ASSERT_TRUE(engine.RegisterQuery(PlainQuery(4, "Q2")).valid());
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  PushRange(&engine, merged, 0, merged.size());
+
+  const CostCounters live = engine.Snapshot().cost;
+  EXPECT_GT(live.GetPhysical(PhysCategory::kKeyLookup), 0u);
+  EXPECT_GT(live.GetPhysical(PhysCategory::kEntryVisit), 0u);
+
+  std::string snapshot;
+  ASSERT_TRUE(engine.Checkpoint(&snapshot)) << engine.last_error();
+  Engine restored(BaseOptions(workload));
+  ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
+  const CostCounters after = restored.Snapshot().cost;
+  for (int c = 0; c < static_cast<int>(PhysCategory::kPhysCategoryCount);
+       ++c) {
+    const auto category = static_cast<PhysCategory>(c);
+    EXPECT_EQ(after.GetPhysical(category), live.GetPhysical(category))
+        << CostCounters::Name(category);
+  }
+  EXPECT_EQ(after.Total(), live.Total());
+}
+
+TEST(EngineTest, SnapshotDebugStringNamesTheMode) {
+  Workload workload = SmallWorkload(73, 2);
+  RekeyForEquiJoin(&workload, 16, 73);
+  for (const ExecutionMode mode :
+       {ExecutionMode::kDeterministic, ExecutionMode::kSharded}) {
+    Engine::Options options = BaseOptions(workload);
+    options.mode = mode;
+    options.shard_count = 2;
+    Engine engine(options);
+    ASSERT_TRUE(engine.RegisterQuery(PlainQuery(1, "Q1")).valid());
+    const std::vector<Tuple> merged = MergedArrivals(workload);
+    PushRange(&engine, merged, 0, merged.size());
+    engine.Finish();
+    const std::string line = engine.Snapshot().DebugString();
+    if (mode == ExecutionMode::kSharded) {
+      EXPECT_EQ(line.rfind("sharded workers=2 ", 0), 0u) << line;
+    } else {
+      EXPECT_EQ(line.rfind("deterministic workers=1 ", 0), 0u) << line;
+    }
+  }
 }
 
 }  // namespace

@@ -102,7 +102,6 @@ Engine::Options MakeOptions(const FuzzConfig& config,
   options.condition = workload.condition;
   options.collect_results = true;
   options.mode = config.mode;
-  if (config.mode == ExecutionMode::kParallel) options.worker_threads = 2;
   if (config.mode == ExecutionMode::kSharded) options.shard_count = 2;
   return options;
 }
@@ -273,10 +272,6 @@ INSTANTIATE_TEST_SUITE_P(
                    "det-count-modsum"},
         FuzzConfig{ExecutionMode::kDeterministic, WindowKind::kCount, true,
                    "det-count-equi"},
-        FuzzConfig{ExecutionMode::kParallel, WindowKind::kTime, false,
-                   "parallel-time-modsum"},
-        FuzzConfig{ExecutionMode::kParallel, WindowKind::kTime, true,
-                   "parallel-time-equi"},
         FuzzConfig{ExecutionMode::kSharded, WindowKind::kTime, true,
                    "sharded-time-equi"}),
     [](const ::testing::TestParamInfo<FuzzConfig>& info) {
@@ -333,9 +328,9 @@ TEST(FaultRecoveryTest, CrashInsideRestoreLeavesPoisonNotCorruption) {
 }
 
 TEST(FaultRecoveryTest, WorkerSeamCountsAccumulate) {
-  // The worker-thread seams (ring backpressure, shard token handoff) are
+  // The worker-thread seams (shard ingress, shard token handoff) are
   // count-only; prove they are live in a fault build by observing counts
-  // from a parallel and a sharded run. Backpressure needs a tiny ring.
+  // from a sharded run.
   WorkloadSpec spec;
   spec.rate_a = spec.rate_b = 40;
   spec.duration_s = 6;
@@ -346,20 +341,6 @@ TEST(FaultRecoveryTest, WorkerSeamCountsAccumulate) {
 
   CrashInjector injector;
   InjectorScope scope(&injector);
-  {
-    Engine::Options options;
-    options.condition = workload.condition;
-    options.mode = ExecutionMode::kParallel;
-    options.worker_threads = 2;
-    options.parallel_edge_capacity = 4;  // force ring_full iterations
-    Engine engine(options);
-    ContinuousQuery q;
-    q.window = WindowSpec::TimeSeconds(4);
-    ASSERT_TRUE(engine.RegisterQuery(q).valid());
-    for (const Tuple& t : merged) engine.Push(t.side, t);
-    engine.Finish();
-    EXPECT_GT(injector.count("psched.push_entry"), 0u);
-  }
   {
     Engine::Options options;
     options.condition = workload.condition;

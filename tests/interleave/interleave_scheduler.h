@@ -22,7 +22,7 @@
 //  - DfsStrategy + ExploreDfs: exhaustive bounded-depth DFS over the
 //    decision tree (2-thread SpscQueue histories).
 //  - PctStrategy + ExplorePct: PCT-style randomized priorities with d-1
-//    priority-change points for 3+-thread ParallelScheduler pipelines,
+//    priority-change points for 3+-thread sharded-runtime episodes,
 //    replayable from the printed seed.
 //
 // Threads that fail a Try* op or idle-spin declare themselves *futile*:

@@ -8,8 +8,7 @@
 // bug 5 in shard_router.h's shard_internal one; shard_router.cc is
 // recompiled into each test binary so the feeder-side template
 // instantiations (Route -> TryPushBack) carry the weakened order too —
-// the explicit object beats the archive member at link time, same trick
-// as the psched bug-3 target. The explorer MUST find a violation: this
+// the explicit object beats the archive member at link time. The explorer MUST find a violation: this
 // test FAILING means the verification layer can no longer detect the
 // bug class it exists for.
 #if !defined(STATESLICE_SEEDED_BUG_4) && \

@@ -30,10 +30,11 @@ struct SpscEpisodeConfig {
   size_t push_chunk = 0;
   // 0: single-event TryPop; else TryPopRun with this per-call bound.
   size_t pop_chunk = 0;
-  // Model the ParallelScheduler close protocol with a test-side flag: the
-  // producer release-stores it after its last push (possibly racing an
-  // in-flight run on the consumer side); the consumer exits only once it
-  // reads closed==true and then finds the ring empty.
+  // Model the sharded runtime's close protocol (ShardRouter::CloseAll for
+  // the ingress rings, merge_close_ for the result rings) with a test-side
+  // flag: the producer release-stores it after its last push (possibly
+  // racing an in-flight run on the consumer side); the consumer exits only
+  // once it reads closed==true and then finds the ring empty.
   bool close_flag = false;
 };
 
@@ -83,7 +84,7 @@ inline std::string RunSpscEpisode(InterleaveScheduler* sched,
     // By construction this thread is the episode's single consumer.
     queue.AssertConsumer();
     if (cfg.close_flag) {
-      // ParallelScheduler::RunStage shape: drain, then exit only when the
+      // Shard/merge worker exit shape: drain, then exit only when the
       // close flag is up AND the ring shows empty afterwards.
       for (;;) {
         bool progress = false;

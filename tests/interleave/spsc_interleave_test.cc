@@ -74,7 +74,7 @@ TEST(SpscInterleaveDfsTest, RunPushSingleEventPop) {
 }
 
 TEST(SpscInterleaveDfsTest, CloseFlagRacesInFlightRun) {
-  // The ParallelScheduler close protocol with the close store racing an
+  // The shard/merge close protocol with the close store racing an
   // in-flight run: the consumer must never exit with events unread.
   ExpectCleanExhaustiveDfs({.capacity = 2,
                             .items = 4,

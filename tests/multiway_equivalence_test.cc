@@ -1,10 +1,11 @@
 // N-way join-tree equivalence: the shared left-deep tree of sliced chains
 // must produce exactly the brute-force oracle's result multisets — the
 // naive nested windowed join over the full history — for every query of a
-// mixed 2/3/4-way workload, in deterministic and parallel modes, through
+// mixed 2/3/4-way workload, in deterministic and sharded modes, through
 // both the low-level builder/Executor path and the Engine facade.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
@@ -60,16 +61,21 @@ std::vector<ContinuousQuery> AcceptanceQueries() {
 
 // Runs `config` through the Engine (pushing the merged arrival feed) and
 // compares every query's collected multiset against the brute-force
-// oracle.
+// oracle. Sharded mode partitions by key, so its workload is rekeyed to an
+// equi-join of the same selectivity.
 void CheckEngineAgainstOracle(const FuzzConfig& config, ExecutionMode mode,
                               double duration_s) {
-  const MultiWorkload workload = MakeWorkload(config, duration_s);
+  MultiWorkload workload = MakeWorkload(config, duration_s);
+  if (mode == ExecutionMode::kSharded) {
+    RekeyForEquiJoin(&workload, std::llround(1.0 / config.s1),
+                     config.workload_seed);
+  }
   Engine::Options eopt;
   eopt.strategy = SharingStrategy::kStateSlice;
   eopt.collect_results = true;
   eopt.condition = workload.condition;
   eopt.mode = mode;
-  if (mode == ExecutionMode::kParallel) eopt.worker_threads = 3;
+  eopt.shard_count = 3;
   Engine engine(eopt);
 
   std::vector<QueryHandle> handles;
@@ -103,14 +109,14 @@ TEST(MultiwayEquivalence, AcceptanceWorkloadDeterministic) {
   CheckEngineAgainstOracle(config, ExecutionMode::kDeterministic, 25.0);
 }
 
-TEST(MultiwayEquivalence, AcceptanceWorkloadParallel) {
+TEST(MultiwayEquivalence, AcceptanceWorkloadSharded) {
   FuzzConfig config;
   config.queries = AcceptanceQueries();
   config.num_streams = 3;
   config.s1 = 0.25;
   config.rate = 20.0;
   config.workload_seed = 20060912;
-  CheckEngineAgainstOracle(config, ExecutionMode::kParallel, 25.0);
+  CheckEngineAgainstOracle(config, ExecutionMode::kSharded, 25.0);
 }
 
 // Low-level path: BuildStateSlicePlan over random per-level partitions,
@@ -158,11 +164,11 @@ TEST(MultiwayEquivalence, EngineFuzzDeterministic) {
   }
 }
 
-TEST(MultiwayEquivalence, EngineFuzzParallel) {
+TEST(MultiwayEquivalence, EngineFuzzSharded) {
   for (uint64_t seed = 200; seed < 205; ++seed) {
     const int max_streams = 3 + static_cast<int>(seed % 2);
     CheckEngineAgainstOracle(DrawMultiwayFuzzConfig(seed, max_streams),
-                             ExecutionMode::kParallel, 10.0);
+                             ExecutionMode::kSharded, 10.0);
   }
 }
 

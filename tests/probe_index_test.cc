@@ -5,7 +5,7 @@
 // for kEquiKey operators) or forced off (BuildOptions::use_key_index =
 // false, the nested-loop baseline), every delivered result multiset — and
 // every paper-unit cost counter — must be identical, across equi/modsum
-// conditions, time/count windows, deterministic/parallel modes, plan
+// conditions, time/count windows, deterministic/sharded modes, plan
 // migration churn, and N-way trees. State-level fuzz additionally pins the
 // index's internal invariants (CheckIndexConsistency) under random
 // insert/purge/probe/migration op sequences.
@@ -180,13 +180,25 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
                                          options);
   const RunStats nested_stats = RunPlan(&nested, workload);
 
-  options.use_key_index = true;
-  BuiltPlan parallel = BuildStateSlicePlan(config.queries, config.chain,
-                                           options);
-  ExecutorOptions exec_options;
-  exec_options.mode = ExecutionMode::kParallel;
-  exec_options.worker_threads = 2 + static_cast<int>(seed % 3);
-  RunPlan(&parallel, workload, exec_options);
+  // Equi seeds also run the indexed probes on shard worker threads (key
+  // partitioning needs the equi-key predicate).
+  const bool equi = workload.condition.kind == JoinCondition::Kind::kEquiKey;
+  Engine::Options eopt;
+  eopt.condition = workload.condition;
+  eopt.collect_results = true;
+  eopt.use_lineage = config.use_lineage;
+  eopt.mode = ExecutionMode::kSharded;
+  eopt.shard_count = 2 + static_cast<int>(seed % 3);
+  Engine sharded(eopt);
+  std::vector<QueryHandle> handles;
+  if (equi) {
+    for (const ContinuousQuery& q : config.queries) {
+      handles.push_back(sharded.RegisterQuery(q));
+      ASSERT_TRUE(handles.back().valid()) << sharded.last_error();
+    }
+    for (const Tuple& t : MergedArrivals(workload)) sharded.Push(t.side, t);
+    sharded.Finish();
+  }
 
   // The paper-unit cost counters must not notice the index at all.
   for (const CostCategory cat :
@@ -203,8 +215,10 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
         << "indexed " << q.DebugString();
     EXPECT_EQ(nested.collectors[q.id]->ResultMultiset(), expected)
         << "nested-loop " << q.DebugString();
-    EXPECT_EQ(parallel.collectors[q.id]->ResultMultiset(), expected)
-        << "parallel+indexed " << q.DebugString();
+    if (equi) {
+      EXPECT_EQ(sharded.CollectedResults(handles[q.id]), expected)
+          << "sharded+indexed " << q.DebugString();
+    }
     EXPECT_EQ(indexed.collectors[q.id]->TimeSortedResults(),
               nested.collectors[q.id]->TimeSortedResults())
         << q.DebugString();

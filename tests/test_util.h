@@ -127,8 +127,8 @@ inline RunStats RunPlan(BuiltPlan* built, const Workload& workload,
 }
 
 // A random query workload + chain partition drawn from a seed. Shared by
-// the fuzz equivalence tests and the parallel-vs-deterministic equivalence
-// tests so both explore the same configuration space. The multiway variant
+// the fuzz equivalence tests and the probe-index plan fuzz so both explore
+// the same configuration space. The multiway variant
 // (DrawMultiwayFuzzConfig) additionally fills `num_streams` and the
 // per-level `tree`.
 struct FuzzConfig {

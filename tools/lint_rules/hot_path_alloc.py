@@ -4,7 +4,7 @@ The per-event hot path — join-state probes/purges, the slot ring, the event
 and SPSC rings, the schedulers' run loops, the arena, the tuple tail, and
 the window-join Process paths — must not heap-allocate per event:
 ad-hoc new/make_unique there turns the O(matches) probe work into allocator
-traffic and wrecks the parallel pipeline's latency. Amortized container
+traffic and wrecks the sharded workers' latency. Amortized container
 growth (vector::push_back into pre-sized storage) is the sanctioned
 mechanism and is not flagged. Genuinely needed allocations take an explicit
 `// lint: allow(hot-path-alloc) -- <reason>` suppression.
@@ -27,7 +27,6 @@ HOT_FILES = {
     "src/runtime/queue.cc",
     "src/runtime/queue.h",
     "src/runtime/scheduler.cc",
-    "src/runtime/parallel_scheduler.cc",
     "src/runtime/spsc_queue.h",
     "src/runtime/steal_deque.h",
     "src/runtime/shard_router.h",
