@@ -2,7 +2,7 @@
 // session (fault tolerance for the paper's continuously running multi-query
 // setting).
 //
-// Format v2 (little-endian fixed-width fields; see src/common/serde.h):
+// Format v3 (little-endian fixed-width fields; see src/common/serde.h):
 //
 //   "SSCP" magic (4 raw bytes), u32 format version,
 //   fingerprint   — every Engine::Options field that shapes plan structure
@@ -13,11 +13,15 @@
 //   accumulators  — folded run metrics with the live scheduler/plan
 //                   counters folded in (the restored plan restarts its own
 //                   counters at zero),
-//   records       — every query ever registered, in registration order:
-//                   token, name, CQL text (ToCql round-trip; active queries
-//                   only), results_from, delivered/collected totals with
-//                   the live sink counts folded in, and the fresh-start
-//                   gate cutoff if a migration installed one,
+//   active        — the live queries, in registration (= token) order:
+//                   token, name, CQL text (ToCql round-trip),
+//                   results_from, delivered/collected totals with the live
+//                   sink counts folded in, and the fresh-start gate cutoff
+//                   if a migration installed one,
+//   retired       — one fixed 28-byte entry per removed query, in token
+//                   order: u64 token, i64 results_from, u64 delivered, u32
+//                   collected count (0 unless collect_results) followed by
+//                   that many (key, count) pairs,
 //   plan          — present iff the engine was running: the live chain
 //                   spec/partition (single-level non-sharded chains carry
 //                   migration-created boundaries that a recompute would not
@@ -27,12 +31,17 @@
 //                   buffered events in release order,
 //   u32 CRC-32 over everything above — torn-write detection.
 //
+// Tokens are strictly increasing within each record section, no retired
+// token is also active, and next_token exceeds every stored token; Restore
+// checks all three, so a retired entry decodes in O(1) and the whole
+// restore stays linear in the snapshot size.
+//
 // Restore rebuilds the plan through the normal builders (key indexes are
 // reconstructed by Insert, never serialized), injects the serialized
 // states positionally, and re-wires fresh-start gates with the migration
-// recipe. Dense query ids are assigned in records order, which provably
-// matches the checkpointed plan: BuildPlan numbers active records in
-// order, ChainMigrator::AddQuery appends the next id to the newest
+// recipe. Dense query ids are assigned in active-record order, which
+// provably matches the checkpointed plan: BuildPlan numbers active records
+// in order, ChainMigrator::AddQuery appends the next id to the newest
 // record, and RemoveQuery frees no id — so active records always carry
 // strictly ascending plan ids. Unions and gates are nevertheless keyed by
 // the stable record token, not the dense id.
@@ -43,6 +52,7 @@
 // and churn are rejected, introspection stays safe. Every decode is
 // bounds-checked (StateReader) and every count is bounded by the bytes
 // remaining, so a corrupt snapshot yields a diagnostic, not UB.
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -66,7 +76,10 @@
 namespace stateslice {
 namespace {
 
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
+// A retired entry without collected results: token, results_from,
+// delivered, collected count.
+constexpr size_t kRetiredEntryBytes = 8 + 8 + 8 + 4;
 const char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
 
 // ---------------------------------------------------------------- encoding
@@ -225,6 +238,27 @@ bool ReadCost(StateReader* r, CostCounters* cost) {
     uint64_t v = 0;
     if (!r->U64(&v)) return false;
     cost->AddPhysical(static_cast<PhysCategory>(c), v);
+  }
+  return true;
+}
+
+// Collected result multisets: u32 count, then (key, count) pairs.
+void WriteCollected(StateWriter* w, const std::map<std::string, int>& m) {
+  w->U32(static_cast<uint32_t>(m.size()));
+  for (const auto& [key, count] : m) {
+    w->Str(key);
+    w->U32(static_cast<uint32_t>(count));
+  }
+}
+
+bool ReadCollected(StateReader* r, std::map<std::string, int>* m) {
+  uint32_t n = 0;
+  if (!ReadCount(r, &n)) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string key;
+    uint32_t count = 0;
+    if (!r->Str(&key) || !r->U32(&count)) return false;
+    m->emplace_hint(m->end(), std::move(key), static_cast<int>(count));
   }
   return true;
 }
@@ -500,13 +534,12 @@ bool Engine::Checkpoint(std::string* out) {
   // Pre-flight: every active query must round-trip through the CQL text
   // (that is how Restore re-validates and re-registers it). Failing here —
   // before pausing or draining anything — leaves the engine untouched.
-  std::vector<std::string> cqls(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    if (!records_[i].active) continue;
-    std::optional<std::string> cql = records_[i].query.ToCql();
+  std::vector<std::string> cqls(active_.size());
+  for (size_t i = 0; i < active_.size(); ++i) {
+    std::optional<std::string> cql = active_[i].query.ToCql();
     if (!cql.has_value()) {
       last_error_ = "checkpoint rejected: query \"" +
-                    records_[i].query.name +
+                    active_[i].query.name +
                     "\" is outside the CQL dialect (ToCql failed)";
       return false;
     }
@@ -554,7 +587,12 @@ bool Engine::Checkpoint(std::string* out) {
     return false;
   };
 
+  // The history sections have fixed-size entries; reserving for them (and
+  // a little plan state) spares most of the buffer's regrowth copies.
   StateWriter w;
+  w.Reserve(4096 + 256 * active_.size() +
+            kRetiredEntryBytes * retired_.size() +
+            8 * rebuild_cutoffs_.size() + 24 * memory_samples_.size());
   for (const char c : kCheckpointMagic) w.U8(static_cast<uint8_t>(c));
   w.U32(kCheckpointVersion);
 
@@ -614,21 +652,20 @@ bool Engine::Checkpoint(std::string* out) {
     w.U64(static_cast<uint64_t>(sample.queue_events));
   }
 
-  // Records, in registration order. Delivered/collected totals fold the
-  // live sink counts in (restored sinks restart at zero; events still
-  // buffered in unions were not yet counted by any sink, so nothing is
-  // double-counted).
-  w.U32(static_cast<uint32_t>(records_.size()));
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const QueryRecord& rec = records_[i];
+  // Active records, in registration order. Delivered/collected totals
+  // fold the live sink counts in (restored sinks restart at zero; events
+  // still buffered in unions were not yet counted by any sink, so nothing
+  // is double-counted).
+  w.U32(static_cast<uint32_t>(active_.size()));
+  for (size_t i = 0; i < active_.size(); ++i) {
+    const QueryRecord& rec = active_[i];
     w.U64(rec.token);
     w.Str(rec.query.name);
     w.Str(cqls[i]);
     w.I64(rec.results_from);
-    w.U8(rec.active ? 1 : 0);
     uint64_t delivered = rec.delivered;
     std::map<std::string, int> collected = rec.collected;
-    if (rec.active && running()) {
+    if (running()) {
       BuiltPlan& rp = result_plan();
       const int qid = rec.query.id;
       if (rp.sinks[qid] != nullptr) {
@@ -643,16 +680,11 @@ bool Engine::Checkpoint(std::string* out) {
       }
     }
     w.U64(delivered);
-    w.U32(static_cast<uint32_t>(collected.size()));
-    for (const auto& [key, count] : collected) {
-      w.Str(key);
-      w.U32(static_cast<uint32_t>(count));
-    }
+    WriteCollected(&w, collected);
     // Fresh-start gate cutoff (migration-installed; single-level
     // non-sharded chains only). -1 = no gate.
     int64_t cutoff = -1;
-    if (rec.active && running() && sharded_ == nullptr &&
-        !built_.slices.empty()) {
+    if (running() && sharded_ == nullptr && !built_.slices.empty()) {
       const int qid = rec.query.id;
       if (qid < static_cast<int>(built_.result_gates.size()) &&
           built_.result_gates[qid] != nullptr) {
@@ -665,6 +697,15 @@ bool Engine::Checkpoint(std::string* out) {
       }
     }
     w.I64(cutoff);
+  }
+
+  // Retired entries, in token order: final totals only.
+  w.U32(static_cast<uint32_t>(retired_.size()));
+  for (const RetiredQuery& retired : retired_) {
+    w.U64(retired.token);
+    w.I64(retired.results_from);
+    w.U64(retired.delivered);
+    WriteCollected(&w, retired.collected);
   }
   STATESLICE_FAULT_POINT("checkpoint.mid_write");
 
@@ -695,8 +736,7 @@ bool Engine::Checkpoint(std::string* out) {
     }
     // Token map for union sections (dense id -> record token).
     std::vector<uint64_t> qid_token;
-    for (const QueryRecord& rec : records_) {
-      if (!rec.active) continue;
+    for (const QueryRecord& rec : active_) {
       if (static_cast<size_t>(rec.query.id) >= qid_token.size()) {
         qid_token.resize(static_cast<size_t>(rec.query.id) + 1, 0);
       }
@@ -722,11 +762,8 @@ bool Engine::Checkpoint(std::string* out) {
   }
 
   STATESLICE_FAULT_POINT("checkpoint.commit");
-  std::string bytes = w.Take();
-  StateWriter trailer;
-  trailer.U32(Crc32(bytes));
-  bytes.append(trailer.data());
-  *out = std::move(bytes);
+  w.U32(Crc32(w.data()));
+  *out = w.Take();
   if (had_workers) ResumeAfterSurgery();
   return true;
 }
@@ -736,8 +773,8 @@ bool Engine::Checkpoint(std::string* out) {
 bool Engine::Restore(std::string_view snapshot) {
   // Precondition: a freshly constructed engine. Violations fail WITHOUT
   // poisoning — nothing was touched, the engine keeps its valid state.
-  if (running() || finished_ || poisoned_ || !records_.empty() ||
-      !subscriptions_.empty() || input_tuples_ != 0 ||
+  if (running() || finished_ || poisoned_ || !active_.empty() ||
+      !retired_.empty() || !subscriptions_.empty() || input_tuples_ != 0 ||
       dropped_tuples_ != 0 || rejected_tuples_ != 0) {
     last_error_ =
         "restore rejected: engine is not freshly constructed (restore "
@@ -754,8 +791,9 @@ bool Engine::Restore(std::string_view snapshot) {
     built_ = BuiltPlan{};
     det_scheduler_.reset();
     sharded_.reset();
-    records_.clear();
-    active_count_ = 0;
+    active_.clear();
+    retired_.clear();
+    retired_delivered_ = 0;
     subscriptions_.clear();
     next_token_ = 1;
     watermark_ = 0;
@@ -939,75 +977,101 @@ bool Engine::Restore(std::string_view snapshot) {
     samples.push_back(sample);
   }
 
-  // Records: active queries replay through RegisterQuery — the normal
-  // validation path, so a corrupt stored query is rejected gracefully
-  // instead of tripping builder CHECKs — then the fresh record's token and
-  // cutoffs are overridden from the snapshot. Inactive records only carry
-  // totals and are appended directly.
-  uint32_t record_count = 0;
-  if (!ReadCount(&r, &record_count)) return fail("truncated record section");
+  // Active records replay through RegisterQuery — the normal validation
+  // path, so a corrupt stored query is rejected gracefully instead of
+  // tripping builder CHECKs — then the fresh record's token and totals are
+  // overridden from the snapshot.
+  uint32_t active_count = 0;
+  if (!ReadCount(&r, &active_count)) return fail("truncated active section");
   std::vector<std::pair<uint64_t, int64_t>> gate_cutoffs;  // token, cutoff
-  for (uint32_t i = 0; i < record_count; ++i) {
+  uint64_t max_token = 0;  // tokens ascend, so this is the last one seen
+  for (uint32_t i = 0; i < active_count; ++i) {
     uint64_t token = 0, delivered = 0;
     std::string name, cql;
     int64_t results_from = 0, gate_cutoff = -1;
-    uint8_t active = 0;
-    uint32_t collected_count = 0;
-    if (!r.U64(&token) || !r.Str(&name) || !r.Str(&cql) ||
-        !r.I64(&results_from) || !r.U8(&active) || active > 1 ||
-        !r.U64(&delivered) || !ReadCount(&r, &collected_count)) {
-      return fail("truncated record section");
-    }
     std::map<std::string, int> collected;
-    for (uint32_t c = 0; c < collected_count; ++c) {
-      std::string key;
-      uint32_t count = 0;
-      if (!r.Str(&key) || !r.U32(&count)) {
-        return fail("truncated record section");
-      }
-      collected[key] = static_cast<int>(count);
-    }
-    if (!r.I64(&gate_cutoff) ||
+    if (!r.U64(&token) || !r.Str(&name) || !r.Str(&cql) ||
+        !r.I64(&results_from) || !r.U64(&delivered) ||
+        !ReadCollected(&r, &collected) || !r.I64(&gate_cutoff) ||
         (gate_cutoff != -1 && gate_cutoff <= 0)) {
-      return fail("truncated record section");
+      return fail("truncated active section");
     }
     if (token == 0) return fail("record with invalid token 0");
-    if (FindRecord(token) != nullptr) {
-      return fail("duplicate record token " + std::to_string(token));
+    if (token <= max_token) {
+      return fail("active token " + std::to_string(token) +
+                  " does not ascend (after " + std::to_string(max_token) +
+                  ")");
     }
-    if (active != 0) {
-      const ParseResult parsed = ParseQuery(cql);
-      if (!parsed.ok) {
-        return fail("stored query \"" + name +
-                    "\" failed to parse: " + parsed.error);
-      }
-      ContinuousQuery query = parsed.query;
-      query.name = name;
-      const QueryHandle handle = RegisterQuery(query);
-      if (!handle.valid()) {
-        return fail("stored query \"" + name +
-                    "\" was rejected: " + last_error_);
-      }
-      QueryRecord& rec = records_.back();
-      rec.token = token;
-      rec.results_from = results_from;
-      rec.delivered = delivered;
-      rec.collected = std::move(collected);
-      if (gate_cutoff > 0) gate_cutoffs.emplace_back(token, gate_cutoff);
-    } else {
-      if (gate_cutoff != -1) {
-        return fail("inactive record " + std::to_string(token) +
-                    " carries a gate cutoff");
-      }
-      QueryRecord rec;
-      rec.token = token;
-      rec.query.name = name;
-      rec.results_from = results_from;
-      rec.active = false;
-      rec.delivered = delivered;
-      rec.collected = std::move(collected);
-      records_.push_back(std::move(rec));
+    max_token = token;
+    const ParseResult parsed = ParseQuery(cql);
+    if (!parsed.ok) {
+      return fail("stored query \"" + name +
+                  "\" failed to parse: " + parsed.error);
     }
+    ContinuousQuery query = parsed.query;
+    query.name = name;
+    const QueryHandle handle = RegisterQuery(query);
+    if (!handle.valid()) {
+      return fail("stored query \"" + name + "\" was rejected: " +
+                  last_error_);
+    }
+    QueryRecord& rec = active_.back();
+    rec.token = token;
+    rec.results_from = results_from;
+    rec.delivered = delivered;
+    rec.collected = std::move(collected);
+    if (gate_cutoff > 0) gate_cutoffs.emplace_back(token, gate_cutoff);
+  }
+
+  // Retired entries: strictly ascending tokens make the duplicate check a
+  // comparison with the previous entry and each insertion an append; the
+  // active tokens are few and sorted, so one merge walk finds collisions.
+  uint32_t retired_count = 0;
+  if (!ReadCount(&r, &retired_count) ||
+      retired_count > r.remaining() / kRetiredEntryBytes) {
+    return fail("truncated retired section");
+  }
+  retired_.reserve(retired_count);
+  uint64_t prev_retired = 0;
+  size_t next_active = 0;  // first active record not below prev_retired
+  for (uint32_t i = 0; i < retired_count; ++i) {
+    RetiredQuery retired;
+    if (!r.U64(&retired.token) || !r.I64(&retired.results_from) ||
+        !r.U64(&retired.delivered) ||
+        !ReadCollected(&r, &retired.collected)) {
+      return fail("truncated retired section");
+    }
+    const uint64_t token = retired.token;
+    if (token == 0) return fail("record with invalid token 0");
+    if (token == prev_retired) {
+      return fail("duplicate retired token " + std::to_string(token));
+    }
+    if (token < prev_retired) {
+      return fail("retired token " + std::to_string(token) +
+                  " out of order (after " + std::to_string(prev_retired) +
+                  ")");
+    }
+    prev_retired = token;
+    while (next_active < active_.size() &&
+           active_[next_active].token < token) {
+      ++next_active;
+    }
+    if (next_active < active_.size() &&
+        active_[next_active].token == token) {
+      return fail("retired token " + std::to_string(token) +
+                  " is also an active token");
+    }
+    if (!options_.collect_results && !retired.collected.empty()) {
+      return fail("retired token " + std::to_string(token) +
+                  " carries collected results without collect_results");
+    }
+    retired_delivered_ += retired.delivered;
+    retired_.push_back(std::move(retired));
+  }
+  max_token = std::max(max_token, prev_retired);
+  if (next_token <= max_token) {
+    return fail("next_token " + std::to_string(next_token) +
+                " does not exceed stored token " + std::to_string(max_token));
   }
 
   // Apply the scalars and accumulators now that the registrations are
@@ -1054,19 +1118,16 @@ bool Engine::Restore(std::string_view snapshot) {
       return fail("chain section present for a plan kind that has none");
     }
 
-    // Dense ids in records order (provably the checkpointed assignment;
-    // see the file comment).
+    // Dense ids in active-record order (provably the checkpointed
+    // assignment; see the file comment).
     std::vector<ContinuousQuery> queries;
-    for (QueryRecord& rec : records_) {
-      if (!rec.active) continue;
+    std::unordered_map<uint64_t, int> token_qid;
+    for (QueryRecord& rec : active_) {
       rec.query.id = static_cast<int>(queries.size());
       queries.push_back(rec.query);
+      token_qid.emplace(rec.token, rec.query.id);
     }
     if (queries.empty()) return fail("plan section with no active queries");
-    std::unordered_map<uint64_t, int> token_qid;
-    for (const QueryRecord& rec : records_) {
-      if (rec.active) token_qid.emplace(rec.token, rec.query.id);
-    }
 
     // Decode + validate the serialized chain before handing it to the
     // builder (the builder CHECK-crashes on malformed partitions; corrupt
@@ -1211,8 +1272,8 @@ bool Engine::Restore(std::string_view snapshot) {
         if (built_.slices.empty() || built_.num_levels != 1) {
           return fail("gate cutoff on a plan kind that cannot carry one");
         }
-        const QueryRecord* rec = FindRecord(token);
-        SLICE_CHECK(rec != nullptr && rec->active);
+        const QueryRecord* rec = FindActive(token);
+        SLICE_CHECK(rec != nullptr);
         const int qid = rec->query.id;
         QueryPlan* plan = built_.plan.get();
         // Freshly built, workers not yet started: structure is ours.

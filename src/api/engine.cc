@@ -45,26 +45,44 @@ Engine::~Engine() {
 
 // ------------------------------------------------------------ query churn
 
-Engine::QueryRecord* Engine::FindRecord(uint64_t token) {
-  for (QueryRecord& r : records_) {
+Engine::QueryRecord* Engine::FindActive(uint64_t token) {
+  for (QueryRecord& r : active_) {
     if (r.token == token) return &r;
   }
   return nullptr;
 }
 
-const Engine::QueryRecord* Engine::FindRecord(uint64_t token) const {
-  for (const QueryRecord& r : records_) {
+const Engine::QueryRecord* Engine::FindActive(uint64_t token) const {
+  for (const QueryRecord& r : active_) {
     if (r.token == token) return &r;
   }
   return nullptr;
 }
 
-size_t Engine::active_queries() const { return active_count_; }
+const Engine::RetiredQuery* Engine::FindRetired(uint64_t token) const {
+  const auto it = std::lower_bound(
+      retired_.begin(), retired_.end(), token,
+      [](const RetiredQuery& r, uint64_t t) { return r.token < t; });
+  return it != retired_.end() && it->token == token ? &*it : nullptr;
+}
+
+void Engine::Retire(size_t index) {
+  QueryRecord& rec = active_[index];
+  retired_delivered_ += rec.delivered;
+  const auto pos = std::upper_bound(
+      retired_.begin(), retired_.end(), rec.token,
+      [](uint64_t t, const RetiredQuery& r) { return t < r.token; });
+  retired_.insert(pos, RetiredQuery{.token = rec.token,
+                                    .results_from = rec.results_from,
+                                    .delivered = rec.delivered,
+                                    .collected = std::move(rec.collected)});
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
+}
 
 void Engine::RecomputeMaxStreams() {
   int n = 0;
-  for (const QueryRecord& r : records_) {
-    if (r.active) n = std::max(n, r.query.num_streams());
+  for (const QueryRecord& r : active_) {
+    n = std::max(n, r.query.num_streams());
   }
   max_streams_ = n;
 }
@@ -145,19 +163,15 @@ bool Engine::ValidateNewQuery(const ContinuousQuery& query,
       return false;
     }
   }
-  for (const QueryRecord& r : records_) {
-    if (!r.active) continue;
-    if (r.query.window.kind != query.window.kind) {
-      *error = "mixed time- and count-based windows are unsupported";
-      return false;
-    }
-    break;
+  if (!active_.empty() &&
+      active_.front().query.window.kind != query.window.kind) {
+    *error = "mixed time- and count-based windows are unsupported";
+    return false;
   }
   // Join-tree-prefix compatibility: streams are positional, so the shared
   // tree serves the new query iff its anchors agree with every active
   // query on the common prefix.
-  for (const QueryRecord& r : records_) {
-    if (!r.active) continue;
+  for (const QueryRecord& r : active_) {
     const int shared = std::min(n, r.query.num_streams()) - 1;
     for (int k = 0; k < shared; ++k) {
       if (query.anchor(k) != r.query.anchor(k)) {
@@ -177,8 +191,8 @@ bool Engine::ValidateNewQuery(const ContinuousQuery& query,
   }
   if (options_.strategy == SharingStrategy::kPushDown &&
       !query.selection_a.IsTrue()) {
-    for (const QueryRecord& r : records_) {
-      if (!r.active || r.query.selection_a.IsTrue()) continue;
+    for (const QueryRecord& r : active_) {
+      if (r.query.selection_a.IsTrue()) continue;
       if (r.query.selection_a.description() !=
           query.selection_a.description()) {
         *error = "push-down sharing requires one shared selection predicate";
@@ -214,8 +228,7 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
     // Idle (or lazy pre-build): the query joins the next plan. Tuples
     // seen so far were either dropped or belong to a torn-down plan, so
     // the query observes arrivals from here on.
-    records_.push_back(std::move(rec));
-    ++active_count_;
+    active_.push_back(std::move(rec));
     RecomputeMaxStreams();
     watermark_ = std::max(watermark_, cutoff);
     return {token};
@@ -232,18 +245,17 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
         migrator.AddQuery(rec.query.window, rec.query.name, cutoff);
     ValidateBuiltChain(built_);
     ++migrations_;
-    records_.push_back(std::move(rec));
+    active_.push_back(std::move(rec));
   } else {
     // Drain-rebuild: flush and retire the current plan, then stand up a
     // fresh shared plan over the updated query set. Works for every
     // strategy; operator state resets at `cutoff`.
     TearDownPlan();
-    records_.push_back(std::move(rec));
+    active_.push_back(std::move(rec));
     if (cutoff > 0) rebuild_cutoffs_.push_back(cutoff);
     ++rebuilds_;
     BuildPlan();
   }
-  ++active_count_;
   RecomputeMaxStreams();
   // Registration advances the session watermark to the cutoff: arrivals
   // after the registration cannot tie with arrivals before it, so both
@@ -267,21 +279,21 @@ bool Engine::UnregisterQuery(QueryHandle handle) {
     last_error_ = "engine poisoned by a failed Restore";
     return false;
   }
-  QueryRecord* rec = FindRecord(handle.token);
-  if (rec == nullptr || !rec->active) {
+  QueryRecord* rec = FindActive(handle.token);
+  if (rec == nullptr) {
     last_error_ = "unknown or inactive query handle";
     return false;
   }
+  const size_t index = static_cast<size_t>(rec - active_.data());
   if (!running()) {
-    rec->active = false;
-    --active_count_;
+    Retire(index);
   } else {
     QuiesceForSurgery();
     STATESLICE_FAULT_POINT("engine.migrate_remove");
     if (active_queries() == 1) {
       // Last query out: flush and idle the engine.
       TearDownPlan();
-      rec->active = false;
+      Retire(index);
     } else if (CanMigrateRemove()) {
       const int qid = rec->query.id;
       rec->delivered += built_.sinks[qid]->result_count();
@@ -293,10 +305,10 @@ bool Engine::UnregisterQuery(QueryHandle handle) {
       migrator.RemoveQuery(qid);
       ValidateBuiltChain(built_);
       ++migrations_;
-      rec->active = false;
+      Retire(index);
     } else {
       TearDownPlan();  // harvests every query, including this one
-      rec->active = false;
+      Retire(index);
       if ((input_tuples_ + dropped_tuples_) > 0) {
         const TimePoint cutoff = Cutoff();
         rebuild_cutoffs_.push_back(cutoff);
@@ -307,7 +319,6 @@ bool Engine::UnregisterQuery(QueryHandle handle) {
       ++rebuilds_;
       BuildPlan();
     }
-    --active_count_;
     ResumeAfterSurgery();
   }
   RecomputeMaxStreams();
@@ -338,8 +349,8 @@ bool Engine::CanMigrateAdd(const ContinuousQuery& query) const {
   if (!query.Unfiltered() || query.window.kind != WindowKind::kTime) {
     return false;
   }
-  for (const QueryRecord& r : records_) {
-    if (r.active && !r.query.Unfiltered()) return false;
+  for (const QueryRecord& r : active_) {
+    if (!r.query.Unfiltered()) return false;
   }
   if (built_.slices.empty() ||
       built_.queries.size() >= static_cast<size_t>(kMaxQueries)) {
@@ -365,8 +376,8 @@ bool Engine::CanMigrateRemove() const {
     return false;
   }
   if (options_.mode == ExecutionMode::kSharded) return false;  // see Add
-  for (const QueryRecord& r : records_) {
-    if (r.active && !r.query.Unfiltered()) return false;
+  for (const QueryRecord& r : active_) {
+    if (!r.query.Unfiltered()) return false;
   }
   return true;
 }
@@ -376,8 +387,8 @@ bool Engine::CanMigrateRemove() const {
 void Engine::BuildPlan() {
   SLICE_CHECK(!running());
   std::vector<ContinuousQuery> queries;
-  for (QueryRecord& r : records_) {
-    if (!r.active) continue;
+  queries.reserve(active_.size());
+  for (QueryRecord& r : active_) {
     r.query.id = static_cast<int>(queries.size());
     queries.push_back(r.query);
   }
@@ -432,8 +443,7 @@ void Engine::BuildPlan() {
     }
   }
   for (SubscriptionRecord& sub : subscriptions_) {
-    const QueryRecord* rec = FindRecord(sub.query_token);
-    if (rec != nullptr && rec->active) WireSubscription(&sub);
+    if (FindActive(sub.query_token) != nullptr) WireSubscription(&sub);
   }
   if (options_.mode == ExecutionMode::kSharded && !finished_) {
     StartSharded();
@@ -450,8 +460,7 @@ void Engine::EnsureBuilt() {
 void Engine::HarvestSinks() {
   // In sharded mode the authoritative sinks live on the merge plan.
   BuiltPlan& rp = result_plan();
-  for (QueryRecord& r : records_) {
-    if (!r.active) continue;
+  for (QueryRecord& r : active_) {
     const int qid = r.query.id;
     if (rp.sinks[qid] != nullptr) {
       r.delivered += rp.sinks[qid]->result_count();
@@ -825,8 +834,7 @@ void Engine::Finish() {
 
 SubscriptionId Engine::Subscribe(QueryHandle handle,
                                  ResultCallback callback) {
-  QueryRecord* rec = FindRecord(handle.token);
-  if (rec == nullptr || !rec->active) {
+  if (FindActive(handle.token) == nullptr) {
     last_error_ = "unknown or inactive query handle";
     return {};
   }
@@ -863,7 +871,7 @@ bool Engine::Unsubscribe(SubscriptionId id) {
     // Callback sinks hang off the result plan (merge plan when sharded).
     BuiltPlan& rp = result_plan();
     rp.plan->AssertSurgeryExclusive();
-    const QueryRecord* rec = FindRecord(it->query_token);
+    const QueryRecord* rec = FindActive(it->query_token);
     SLICE_CHECK(rec != nullptr);
     std::vector<SinkEdge>& edges = rp.sink_edges[rec->query.id];
     for (size_t e = 0; e < edges.size(); ++e) {
@@ -888,8 +896,8 @@ void Engine::WireSubscription(SubscriptionRecord* sub) {
   // callbacks fire on the merge worker thread.
   BuiltPlan& rp = result_plan();
   rp.plan->AssertSurgeryExclusive();
-  const QueryRecord* rec = FindRecord(sub->query_token);
-  SLICE_CHECK(rec != nullptr && rec->active);
+  const QueryRecord* rec = FindActive(sub->query_token);
+  SLICE_CHECK(rec != nullptr);
   const int qid = rec->query.id;
   SLICE_CHECK(!rp.sink_edges[qid].empty());
   // Tap the same producer that feeds the query's counting sink (the gate,
@@ -907,11 +915,13 @@ void Engine::WireSubscription(SubscriptionRecord* sub) {
 }
 
 uint64_t Engine::ResultCount(QueryHandle handle) {
-  const QueryRecord* rec = FindRecord(handle.token);
-  if (rec == nullptr) return 0;
+  const QueryRecord* rec = FindActive(handle.token);
+  if (rec == nullptr) {
+    const RetiredQuery* retired = FindRetired(handle.token);
+    return retired != nullptr ? retired->delivered : 0;
+  }
   uint64_t total = rec->delivered;
-  if (rec->active && running() &&
-      result_plan().sinks[rec->query.id] != nullptr) {
+  if (running() && result_plan().sinks[rec->query.id] != nullptr) {
     // Pause workers (if any) for a quiescent, synchronized read; a
     // deterministic engine stays lazy (Poll/auto_drain drive progress).
     const bool had_workers = shard_scheduler_ != nullptr;
@@ -923,11 +933,14 @@ uint64_t Engine::ResultCount(QueryHandle handle) {
 }
 
 std::map<std::string, int> Engine::CollectedResults(QueryHandle handle) {
-  const QueryRecord* rec = FindRecord(handle.token);
-  if (rec == nullptr) return {};
+  const QueryRecord* rec = FindActive(handle.token);
+  if (rec == nullptr) {
+    const RetiredQuery* retired = FindRetired(handle.token);
+    return retired != nullptr ? retired->collected
+                              : std::map<std::string, int>{};
+  }
   std::map<std::string, int> results = rec->collected;
-  if (rec->active && running() &&
-      result_plan().collectors[rec->query.id] != nullptr) {
+  if (running() && result_plan().collectors[rec->query.id] != nullptr) {
     const bool had_workers = shard_scheduler_ != nullptr;
     if (had_workers) PauseSharded();
     MergeMultiset(result_plan().collectors[rec->query.id]->ResultMultiset(),
@@ -938,13 +951,15 @@ std::map<std::string, int> Engine::CollectedResults(QueryHandle handle) {
 }
 
 TimePoint Engine::ResultsFrom(QueryHandle handle) const {
-  const QueryRecord* rec = FindRecord(handle.token);
-  return rec != nullptr ? rec->results_from : 0;
+  if (const QueryRecord* rec = FindActive(handle.token)) {
+    return rec->results_from;
+  }
+  const RetiredQuery* retired = FindRetired(handle.token);
+  return retired != nullptr ? retired->results_from : 0;
 }
 
 bool Engine::IsActive(QueryHandle handle) const {
-  const QueryRecord* rec = FindRecord(handle.token);
-  return rec != nullptr && rec->active;
+  return FindActive(handle.token) != nullptr;
 }
 
 // ------------------------------------------------------------- maintenance
@@ -1007,10 +1022,10 @@ RunStats Engine::Snapshot() {
   if (det_scheduler_ != nullptr) {
     stats.events_processed += det_scheduler_->total_processed();
   }
-  for (const QueryRecord& r : records_) {
+  stats.results_delivered = retired_delivered_;
+  for (const QueryRecord& r : active_) {
     stats.results_delivered += r.delivered;
-    if (r.active && running() &&
-        result_plan().sinks[r.query.id] != nullptr) {
+    if (running() && result_plan().sinks[r.query.id] != nullptr) {
       stats.results_delivered +=
           result_plan().sinks[r.query.id]->result_count();
     }

@@ -41,6 +41,15 @@
 // produced, so a query's cumulative delivery is exactly the windowed join
 // over its post-ResultsFrom suffix, segmented by the later cutoffs.
 //
+// Session history: the engine keeps the live queries (at most
+// kMaxQueries) apart from the removed ones. A removed query leaves a
+// retired entry of its final totals keyed by handle token, plus a running
+// sum of their deliveries, so churn, validation, plan builds and result
+// harvesting walk the live queries only, and a long-churning session's
+// cost does not grow with the number of queries it has ever seen. What
+// still grows per event is the rebuild_cutoffs() list and the memory
+// sample series (one entry per rebuild / sample interval).
+//
 // Threading: the Engine itself is single-caller (one thread invokes its
 // methods). ExecutionMode::kDeterministic runs everything on that thread.
 // ExecutionMode::kSharded adds key-partitioned data parallelism: arrivals
@@ -166,8 +175,13 @@ class Engine {
   // surface through last_error().
   QueryHandle RegisterQuery(std::string_view cql);
 
-  // Removes a query: its results stop, its totals stay readable. Returns
-  // false (with last_error) for unknown/inactive handles.
+  // Removes a query: its results stop and it is retired. A retired query
+  // keeps only its final totals (ResultsFrom, ResultCount and, with
+  // collect_results, CollectedResults), answered by a token lookup in
+  // O(log retired); its definition and name are dropped, and its handle
+  // turns inactive for good. Snapshot().results_delivered keeps counting
+  // retired deliveries through a running total. Returns false (with
+  // last_error) for unknown/inactive handles.
   bool UnregisterQuery(QueryHandle handle);
 
   // Message for the most recent rejected call.
@@ -313,7 +327,7 @@ class Engine {
   // are registered but nothing was pushed yet; empty string when idle).
   std::string PlanDot();
 
-  size_t active_queries() const;
+  size_t active_queries() const { return active_.size(); }
   TimePoint watermark() const { return watermark_; }
   bool running() const {
     return built_.plan != nullptr || sharded_ != nullptr;
@@ -341,13 +355,21 @@ class Engine {
   const Options& options() const { return options_; }
 
  private:
+  // A registered query (at most kMaxQueries of them are live).
   struct QueryRecord {
     uint64_t token = 0;
     ContinuousQuery query;  // id = dense id in the current plan epoch
     TimePoint results_from = 0;
-    bool active = true;
     uint64_t delivered = 0;                 // finalized plan epochs
     std::map<std::string, int> collected;   // finalized plan epochs
+  };
+  // What a removed query leaves behind: its final totals only (no query,
+  // no name), so a long session's history costs a few words per query.
+  struct RetiredQuery {
+    uint64_t token = 0;
+    TimePoint results_from = 0;
+    uint64_t delivered = 0;
+    std::map<std::string, int> collected;  // empty unless collect_results
   };
   struct SubscriptionRecord {
     uint64_t token = 0;
@@ -356,8 +378,14 @@ class Engine {
     CallbackSink* sink = nullptr;  // current epoch's operator (if wired)
   };
 
-  QueryRecord* FindRecord(uint64_t token);
-  const QueryRecord* FindRecord(uint64_t token) const;
+  // The live record for `token`, or nullptr (a linear scan over at most
+  // kMaxQueries records).
+  QueryRecord* FindActive(uint64_t token);
+  const QueryRecord* FindActive(uint64_t token) const;
+  // The retired entry for `token`, or nullptr (O(log retired)).
+  const RetiredQuery* FindRetired(uint64_t token) const;
+  // Moves active_[index] into retired_ with its finalized totals.
+  void Retire(size_t index);
   bool ValidateNewQuery(const ContinuousQuery& query, std::string* error)
       const;
   void RecomputeMaxStreams();
@@ -414,8 +442,14 @@ class Engine {
   Options options_;
   std::string last_error_;
   uint64_t next_token_ = 1;
-  std::vector<QueryRecord> records_;             // registration order
-  size_t active_count_ = 0;  // records_ with active=true (Push hot path)
+  std::vector<QueryRecord> active_;  // live queries, registration order
+  // Removed queries, sorted by token: a flat map, so Checkpoint scans it
+  // contiguously and lookups binary-search it. Retire inserts in token
+  // order; an entry is shifted only by the later retirement of a query
+  // that was active when it retired (at most kMaxQueries - 1 of them), so
+  // insertion is amortized O(1).
+  std::vector<RetiredQuery> retired_;
+  uint64_t retired_delivered_ = 0;  // sum of retired_[*].delivered
   std::vector<SubscriptionRecord> subscriptions_;
 
   BuiltPlan built_;  // built_.plan == nullptr while idle

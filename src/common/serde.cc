@@ -1,55 +1,57 @@
 #include "src/common/serde.h"
 
+#include <array>
+
 namespace stateslice {
-
-void StateWriter::AppendLe(const void* src, size_t n) {
-  // Serialize byte-by-byte from the least-significant end so the wire
-  // format is little-endian regardless of host order.
-  uint64_t v = 0;
-  std::memcpy(&v, src, n);
-  for (size_t i = 0; i < n; ++i) {
-    data_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-bool StateReader::ReadLe(void* dst, size_t n) {
-  if (!Require(n)) return false;
-  uint64_t v = 0;
-  for (size_t i = 0; i < n; ++i) {
-    v |= static_cast<uint64_t>(
-             static_cast<uint8_t>(data_[offset_ + i]))
-         << (8 * i);
-  }
-  offset_ += n;
-  std::memcpy(dst, &v, n);
-  return true;
-}
-
 namespace {
 
-// Table-driven reflected CRC-32; the table is built once on first use.
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
+// Slice-by-8 tables for the reflected CRC-32: kCrcTables[0] is the classic
+// byte-at-a-time table, and kCrcTables[k][b] is the CRC of byte b followed
+// by k zero bytes, so eight table lookups advance the CRC by eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = t[k - 1][i];
+      t[k][i] = (prev >> 8) ^ t[0][prev & 0xff];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Little-endian 32-bit load (compilers fold this into one load).
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  const uint32_t* table = CrcTable();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data) {
-    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xff] ^ (crc >> 8);
+  const CrcTables& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+          t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -6,17 +6,20 @@
 // when the buffer runs out, so a torn or truncated checkpoint surfaces as
 // a clean diagnostic at the call site rather than UB deep in a decode.
 // Crc32 computes the reflected CRC-32 (IEEE 802.3 polynomial) in
-// software; Engine::Checkpoint appends it as a trailing checksum over
-// everything before it, which is how partial writes are detected.
+// software, eight bytes per step (slice-by-8); Engine::Checkpoint appends
+// it as a trailing checksum over everything before it, which is how
+// partial writes are detected. Scalars move with one append or copy each,
+// so encoding and checksumming cost per byte, not per call.
 //
 // The encoding is deliberately dumb: no varints, no field tags, no
 // alignment. The checkpoint format gets its versioning from a single
-// format-version integer in the header (see engine.cc), and both ends of
+// format-version integer in the header (see checkpoint.cc), and both ends of
 // the wire are this codebase, so schema evolution happens by bumping that
 // version — not by making the primitive layer clever.
 #ifndef STATESLICE_COMMON_SERDE_H_
 #define STATESLICE_COMMON_SERDE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -24,12 +27,23 @@
 
 namespace stateslice {
 
+// Reverses the byte order of an unsigned integer (big-endian hosts only;
+// the wire format is little-endian).
+template <typename T>
+constexpr T SwapBytes(T v) {
+  T out = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out = static_cast<T>((out << 8) | ((v >> (8 * i)) & 0xff));
+  }
+  return out;
+}
+
 // Appends little-endian fixed-width values to an owned byte buffer.
 class StateWriter {
  public:
   void U8(uint8_t v) { data_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { AppendLe(&v, sizeof(v)); }
-  void U64(uint64_t v) { AppendLe(&v, sizeof(v)); }
+  void U32(uint32_t v) { AppendLe(v); }
+  void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Double(double v) {
     uint64_t bits;
@@ -43,11 +57,17 @@ class StateWriter {
     data_.append(s.data(), s.size());
   }
 
+  void Reserve(size_t bytes) { data_.reserve(bytes); }
   const std::string& data() const { return data_; }
   std::string Take() { return std::move(data_); }
 
  private:
-  void AppendLe(const void* src, size_t n);
+  // One append of the value's bytes in little-endian order.
+  template <typename T>
+  void AppendLe(T v) {
+    if constexpr (std::endian::native == std::endian::big) v = SwapBytes(v);
+    data_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
 
   std::string data_;
 };
@@ -65,8 +85,8 @@ class StateReader {
     *out = static_cast<uint8_t>(data_[offset_++]);
     return true;
   }
-  bool U32(uint32_t* out) { return ReadLe(out, sizeof(*out)); }
-  bool U64(uint64_t* out) { return ReadLe(out, sizeof(*out)); }
+  bool U32(uint32_t* out) { return ReadLe(out); }
+  bool U64(uint64_t* out) { return ReadLe(out); }
   bool I64(int64_t* out) {
     uint64_t bits;
     if (!U64(&bits)) return false;
@@ -100,7 +120,17 @@ class StateReader {
     }
     return true;
   }
-  bool ReadLe(void* dst, size_t n);
+  // One bounds check and one copy per little-endian scalar.
+  template <typename T>
+  bool ReadLe(T* out) {
+    if (!Require(sizeof(T))) return false;
+    T v;
+    std::memcpy(&v, data_.data() + offset_, sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) v = SwapBytes(v);
+    offset_ += sizeof(T);
+    *out = v;
+    return true;
+  }
 
   std::string_view data_;
   size_t offset_ = 0;

@@ -62,6 +62,36 @@ std::string Resealed(std::string body) {
   return body + w.data();
 }
 
+// Expects Restore(bytes) to fail with `diagnostic` in last_error() and to
+// leave a poisoned shell that rejects ingestion, churn and checkpoints but
+// keeps answering introspection calls.
+void ExpectRejectedAndPoisoned(const Engine::Options& options,
+                               const std::string& bytes,
+                               const std::string& diagnostic,
+                               const std::string& name) {
+  Engine restored(options);
+  EXPECT_FALSE(restored.Restore(bytes)) << name;
+  EXPECT_TRUE(restored.poisoned()) << name;
+  EXPECT_NE(restored.last_error().find(diagnostic), std::string::npos)
+      << name << ": " << restored.last_error();
+  Tuple t;
+  t.timestamp = SecondsToTicks(1.0);
+  restored.Push(StreamSide::kA, t);
+  EXPECT_EQ(restored.input_tuples(), 0u) << name;
+  EXPECT_EQ(restored.rejected_tuples(), 1u) << name;
+  EXPECT_FALSE(restored.RegisterQuery(PlainQuery(2)).valid()) << name;
+  std::string out;
+  EXPECT_FALSE(restored.Checkpoint(&out)) << name;
+  const RunStats stats = restored.Snapshot();
+  EXPECT_EQ(stats.input_tuples, 0u) << name;
+  EXPECT_EQ(stats.results_delivered, 0u) << name;
+  // Poll/Drain/Finish are safe and idempotent on the poisoned shell.
+  EXPECT_EQ(restored.Poll(), 0u) << name;
+  restored.Drain();
+  restored.Finish();
+  restored.Finish();
+}
+
 // Full equality of the externally observable per-query surface plus the
 // session counters both engines agree on deterministically.
 void ExpectSameResults(Engine* restored, Engine* oracle,
@@ -226,7 +256,7 @@ TEST(CheckpointTest, RoundTripMultiwayTree) {
 
 TEST(CheckpointTest, RoundTripAfterChurnKeepsGatesAndTotals) {
   // Mid-stream registration (migration installs a fresh-start gate),
-  // removal (inactive record keeps its totals) and compaction all survive
+  // removal (the retired entry keeps its totals) and compaction all survive
   // the snapshot.
   const Workload workload = SmallWorkload(29);
   const std::vector<Tuple> merged = MergedArrivals(workload);
@@ -254,7 +284,7 @@ TEST(CheckpointTest, RoundTripAfterChurnKeepsGatesAndTotals) {
 
   Engine restored(options);
   ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
-  // The removed query's totals survive as an inactive record.
+  // The removed query's totals survive as a retired entry.
   EXPECT_FALSE(restored.IsActive(h1));
   EXPECT_EQ(restored.ResultCount(h1), q1_final);
   EXPECT_EQ(restored.CollectedResults(h1), original.CollectedResults(h1));
@@ -381,28 +411,208 @@ TEST(CheckpointTest, CorruptSnapshotsRejectWithDiagnosticsAndPoison) {
        "trailing garbage"},
   };
   for (const Case& c : cases) {
-    Engine restored(BaseOptions(workload));
-    EXPECT_FALSE(restored.Restore(c.bytes)) << c.name;
-    EXPECT_TRUE(restored.poisoned()) << c.name;
-    EXPECT_NE(restored.last_error().find(c.diagnostic), std::string::npos)
-        << c.name << ": " << restored.last_error();
-    // A poisoned engine rejects ingestion and churn but keeps answering.
-    Tuple t;
-    t.timestamp = SecondsToTicks(1.0);
-    restored.Push(StreamSide::kA, t);
-    EXPECT_EQ(restored.input_tuples(), 0u) << c.name;
-    EXPECT_EQ(restored.rejected_tuples(), 1u) << c.name;
-    EXPECT_FALSE(restored.RegisterQuery(PlainQuery(2)).valid()) << c.name;
-    std::string out;
-    EXPECT_FALSE(restored.Checkpoint(&out)) << c.name;
-    const RunStats stats = restored.Snapshot();
-    EXPECT_EQ(stats.input_tuples, 0u) << c.name;
-    // Poll/Drain/Finish are safe and idempotent on the poisoned shell.
-    EXPECT_EQ(restored.Poll(), 0u) << c.name;
-    restored.Drain();
-    restored.Finish();
-    restored.Finish();
+    ExpectRejectedAndPoisoned(BaseOptions(workload), c.bytes, c.diagnostic,
+                              c.name);
   }
+}
+
+// The 28-byte v3 retired entry of a query removed without collect_results:
+// u64 token, i64 results_from, u64 delivered, u32 collected count (0).
+std::string RetiredEntry(uint64_t token, TimePoint results_from,
+                         uint64_t delivered) {
+  StateWriter w;
+  w.U64(token);
+  w.I64(results_from);
+  w.U64(delivered);
+  w.U32(0);
+  return w.Take();
+}
+
+// `body` with the u64 at `offset` replaced by `value`.
+std::string WithU64At(std::string body, size_t offset, uint64_t value) {
+  StateWriter w;
+  w.U64(value);
+  body.replace(offset, w.data().size(), w.data());
+  return body;
+}
+
+TEST(CheckpointTest, CorruptRetiredSectionRejectsWithDiagnosticsAndPoison) {
+  // Four queries, the first two removed mid-stream: active tokens {3, 4},
+  // retired tokens {1, 2} in two adjacent fixed-size entries.
+  const Workload workload = SmallWorkload(61, 6);
+  Engine::Options options = BaseOptions(workload);
+  options.collect_results = false;
+  Engine original(options);
+  std::vector<QueryHandle> h;
+  for (const double w : {2.0, 4.0, 6.0, 8.0}) {
+    h.push_back(original.RegisterQuery(PlainQuery(w)));
+    ASSERT_TRUE(h.back().valid()) << original.last_error();
+  }
+  ASSERT_EQ(h[0].token, 1u);
+  ASSERT_EQ(h[3].token, 4u);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  PushRange(&original, merged, 0, merged.size() / 2);
+  ASSERT_TRUE(original.UnregisterQuery(h[0]));
+  ASSERT_TRUE(original.UnregisterQuery(h[1]));
+  std::string snapshot;
+  ASSERT_TRUE(original.Checkpoint(&snapshot)) << original.last_error();
+  const std::string body = snapshot.substr(0, snapshot.size() - 4);
+
+  // Locate both retired entries by their exact encoding.
+  const std::string first =
+      RetiredEntry(1, original.ResultsFrom(h[0]), original.ResultCount(h[0]));
+  const std::string second =
+      RetiredEntry(2, original.ResultsFrom(h[1]), original.ResultCount(h[1]));
+  ASSERT_GT(original.ResultCount(h[0]), 0u);
+  const size_t at = body.find(first + second);
+  ASSERT_NE(at, std::string::npos);
+  const size_t first_token = at;
+  const size_t second_token = at + first.size();
+  // The next_token scalar (5: four queries, no subscriptions) sits right
+  // before the watermark.
+  StateWriter scalars;
+  scalars.U64(5);
+  scalars.I64(original.watermark());
+  const size_t next_token_at = body.find(scalars.data());
+  ASSERT_NE(next_token_at, std::string::npos);
+
+  // Sanity: the untouched snapshot restores.
+  {
+    Engine restored(options);
+    ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
+    EXPECT_FALSE(restored.IsActive(h[0]));
+    EXPECT_EQ(restored.ResultCount(h[1]), original.ResultCount(h[1]));
+  }
+
+  struct Case {
+    std::string name;
+    std::string body;
+    std::string diagnostic;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate-retired-token", WithU64At(body, second_token, 1),
+       "duplicate retired token 1"},
+      {"descending-retired-token",
+       WithU64At(WithU64At(body, first_token, 2), second_token, 1),
+       "retired token 1 out of order"},
+      {"retired-token-is-active", WithU64At(body, second_token, 3),
+       "retired token 3 is also an active token"},
+      {"next-token-not-above-active", WithU64At(body, next_token_at, 4),
+       "next_token 4 does not exceed stored token 4"},
+      {"next-token-not-above-retired", WithU64At(body, second_token, 9),
+       "next_token 5 does not exceed stored token 9"},
+      {"truncated-retired-section", body.substr(0, second_token + 10),
+       "truncated retired section"},
+  };
+  for (const Case& c : cases) {
+    ExpectRejectedAndPoisoned(options, Resealed(c.body), c.diagnostic,
+                              c.name);
+  }
+}
+
+// Drives `pairs` register/remove pairs on a deterministic chain that keeps
+// one long-lived query: each churned query registers in place, sees one
+// matching A/B pair, and is removed in place. Returns every handle issued
+// (the long-lived query first).
+std::vector<QueryHandle> ChurnPairs(Engine* engine, int pairs,
+                                    TimePoint* clock) {
+  std::vector<QueryHandle> handles;
+  if (engine->active_queries() == 0) {
+    handles.push_back(engine->RegisterQuery(PlainQuery(2, "Q0")));
+  }
+  for (int i = 0; i < pairs; ++i) {
+    const QueryHandle h = engine->RegisterQuery(PlainQuery(1));
+    EXPECT_TRUE(h.valid()) << engine->last_error();
+    *clock += SecondsToTicks(0.25);
+    Tuple a;
+    a.timestamp = *clock;
+    a.key = i % 3;
+    Tuple b = a;
+    engine->Push(StreamSide::kA, a);
+    engine->Push(StreamSide::kB, b);
+    EXPECT_TRUE(engine->UnregisterQuery(h)) << engine->last_error();
+    handles.push_back(h);
+  }
+  return handles;
+}
+
+uint64_t SumResultCounts(Engine* engine,
+                         const std::vector<QueryHandle>& handles) {
+  uint64_t total = 0;
+  for (const QueryHandle h : handles) total += engine->ResultCount(h);
+  return total;
+}
+
+TEST(CheckpointTest, LongChurnRoundTripKeepsRetiredTotals) {
+  Engine::Options options;
+  options.collect_results = true;
+  Engine original(options);
+  TimePoint clock = 0;
+  const std::vector<QueryHandle> handles =
+      ChurnPairs(&original, 2000, &clock);
+  ASSERT_EQ(handles.size(), 2001u);
+  EXPECT_EQ(original.active_queries(), 1u);
+  // Mostly in place; ChainMigrator never reuses a plan id, so every ~63
+  // in-place registrations one drain-rebuild renumbers the plan.
+  EXPECT_GT(original.migrations(), 3000u);
+  const uint64_t delivered = SumResultCounts(&original, handles);
+  EXPECT_EQ(original.Snapshot().results_delivered, delivered);
+
+  std::string snapshot;
+  ASSERT_TRUE(original.Checkpoint(&snapshot)) << original.last_error();
+  Engine restored(options);
+  ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
+
+  for (const size_t i : {size_t{1}, size_t{1000}, size_t{2000}}) {
+    const QueryHandle h = handles[i];
+    EXPECT_FALSE(restored.IsActive(h)) << i;
+    EXPECT_EQ(restored.ResultsFrom(h), original.ResultsFrom(h)) << i;
+    // The first churned query registered before any input.
+    if (i > 1) {
+      EXPECT_GT(restored.ResultsFrom(h), 0) << i;
+    }
+    EXPECT_EQ(restored.ResultCount(h), original.ResultCount(h)) << i;
+    EXPECT_GT(restored.ResultCount(h), 0u) << i;
+    EXPECT_EQ(restored.CollectedResults(h), original.CollectedResults(h))
+        << i;
+    EXPECT_FALSE(restored.CollectedResults(h).empty()) << i;
+  }
+  EXPECT_TRUE(restored.IsActive(handles[0]));
+  EXPECT_EQ(SumResultCounts(&restored, handles), delivered);
+  EXPECT_EQ(restored.Snapshot().results_delivered, delivered);
+
+  // The restored session keeps churning, and new handles never collide
+  // with retired ones.
+  const std::vector<QueryHandle> more = ChurnPairs(&restored, 10, &clock);
+  EXPECT_GT(more.front().token, handles.back().token);
+  std::vector<QueryHandle> all = handles;
+  all.insert(all.end(), more.begin(), more.end());
+  EXPECT_EQ(restored.Snapshot().results_delivered,
+            SumResultCounts(&restored, all));
+}
+
+TEST(CheckpointTest, RetiredQueriesCostAtMost32BytesEach) {
+  // Without collect_results a retired query is one fixed 28-byte entry.
+  // Two checkpoints of the same periodic session 1000 pairs apart differ
+  // by the new retired entries plus the memory samples taken meanwhile
+  // (24 bytes each); the live plan's state has the same size at both.
+  Engine::Options options;
+  Engine engine(options);
+  TimePoint clock = 0;
+  ChurnPairs(&engine, 1000, &clock);
+  std::string before;
+  ASSERT_TRUE(engine.Checkpoint(&before)) << engine.last_error();
+  const size_t samples_before = engine.Snapshot().memory_samples.size();
+  ChurnPairs(&engine, 1000, &clock);
+  std::string after;
+  ASSERT_TRUE(engine.Checkpoint(&after)) << engine.last_error();
+  const size_t samples_after = engine.Snapshot().memory_samples.size();
+  ASSERT_GT(after.size(), before.size());
+  const size_t growth = after.size() - before.size() -
+                        24 * (samples_after - samples_before);
+  EXPECT_LE(growth, 32u * 1000) << "snapshot grew " << growth
+                                << " bytes over 1000 retired queries";
+  EXPECT_GE(growth, 28u * 1000);
 }
 
 TEST(CheckpointTest, OptionsFingerprintMismatchIsNamed) {
