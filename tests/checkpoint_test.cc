@@ -751,6 +751,152 @@ TEST(CheckpointTest, DoubleFinishIsIdempotent) {
   EXPECT_EQ(engine.ResultCount(h), delivered);
 }
 
+// ------------------------------------------------------ v3 wire-format pins
+
+// Registers `queries`, pushes the first half of `merged` (all of it, then
+// Finish, when `finish` is set) and returns the snapshot.
+std::string SnapshotOf(const Engine::Options& options,
+                       const std::vector<ContinuousQuery>& queries,
+                       const std::vector<Tuple>& merged, bool finish = false) {
+  Engine engine(options);
+  for (const ContinuousQuery& q : queries) {
+    EXPECT_TRUE(engine.RegisterQuery(q).valid()) << engine.last_error();
+  }
+  PushRange(&engine, merged, 0, finish ? merged.size() : merged.size() / 2);
+  if (finish) engine.Finish();
+  std::string snapshot;
+  EXPECT_TRUE(engine.Checkpoint(&snapshot)) << engine.last_error();
+  return snapshot;
+}
+
+// Checkpoint(Restore(snapshot)): Restore decodes every field and an
+// immediate Checkpoint writes each one back, so the bytes must not move.
+void ExpectReencodesIdentically(const Engine::Options& options,
+                                const std::string& snapshot,
+                                const std::string& name) {
+  Engine restored(options);
+  ASSERT_TRUE(restored.Restore(snapshot)) << name << ": "
+                                          << restored.last_error();
+  std::string again;
+  ASSERT_TRUE(restored.Checkpoint(&again)) << name << ": "
+                                           << restored.last_error();
+  EXPECT_EQ(again.size(), snapshot.size()) << name;
+  EXPECT_TRUE(again == snapshot) << name;
+}
+
+TEST(CheckpointWireTest, RestoreThenCheckpointIsByteIdentical) {
+  const Workload workload = SmallWorkload(67, 8);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  const std::vector<ContinuousQuery> chain = {
+      PlainQuery(2, "Q1"), PlainQuery(4, "Q2"), PlainQuery(6, "Q3")};
+
+  ExpectReencodesIdentically(BaseOptions(workload),
+                             SnapshotOf(BaseOptions(workload), chain, merged),
+                             "mem-opt chain");
+  Engine::Options cpu = BaseOptions(workload);
+  cpu.objective = ChainObjective::kCpuOpt;
+  ExpectReencodesIdentically(cpu, SnapshotOf(cpu, chain, merged),
+                             "cpu-opt chain");
+  Engine::Options pull_up = BaseOptions(workload);
+  pull_up.strategy = SharingStrategy::kPullUp;
+  std::vector<ContinuousQuery> filtered = chain;
+  filtered[1].selection_a = Predicate::GreaterThan(0.4);
+  ExpectReencodesIdentically(pull_up, SnapshotOf(pull_up, filtered, merged),
+                             "pull-up plan");
+
+  std::vector<ContinuousQuery> counts(2);
+  counts[0].name = "C1";
+  counts[0].window = WindowSpec::Count(40);
+  counts[1].name = "C2";
+  counts[1].window = WindowSpec::Count(90);
+  ExpectReencodesIdentically(BaseOptions(workload),
+                             SnapshotOf(BaseOptions(workload), counts, merged),
+                             "count windows");
+
+  ExpectReencodesIdentically(BaseOptions(workload),
+                             SnapshotOf(BaseOptions(workload), {}, merged),
+                             "idle engine");
+  ExpectReencodesIdentically(
+      BaseOptions(workload),
+      SnapshotOf(BaseOptions(workload), chain, merged, /*finish=*/true),
+      "finished engine");
+}
+
+TEST(CheckpointWireTest, MultiwayAndShardedReencodeIdentically) {
+  WorkloadSpec spec;
+  spec.rate_a = spec.rate_b = 20;
+  spec.duration_s = 8;
+  spec.seed = 71;
+  const MultiWorkload three = GenerateMultiWorkload(spec, 3);
+  Engine::Options tree;
+  tree.condition = three.condition;
+  tree.collect_results = true;
+  ContinuousQuery m1;
+  m1.name = "M1";
+  m1.window = WindowSpec::TimeSeconds(2);
+  m1.stream_names = {"S0", "S1", "S2"};
+  ContinuousQuery m2 = PlainQuery(3, "M2");
+  ExpectReencodesIdentically(
+      tree, SnapshotOf(tree, {m1, m2}, MergedArrivals(three)),
+      "multi-way tree");
+
+  // Sharded bytes carry timing-dependent steal/edge accumulators, so only
+  // restore-then-checkpoint (no workers ran in between) is pinned.
+  Workload equi = SmallWorkload(73, 8);
+  RekeyForEquiJoin(&equi, /*key_domain=*/16, /*seed=*/73);
+  Engine::Options sharded = BaseOptions(equi);
+  sharded.mode = ExecutionMode::kSharded;
+  sharded.shard_count = 2;
+  ExpectReencodesIdentically(
+      sharded,
+      SnapshotOf(sharded, {PlainQuery(2, "Q1"), PlainQuery(5, "Q2")},
+                 MergedArrivals(equi)),
+      "sharded engine");
+}
+
+// (size, CRC-32 of everything before the trailing checksum) of a v3
+// snapshot. The workloads come from the library's own xoshiro generator,
+// so the bytes are reproducible; a change here means the wire format
+// moved and kCheckpointVersion must move with it.
+std::pair<size_t, uint32_t> Pin(const std::string& snapshot) {
+  return {snapshot.size(), Crc32(snapshot.substr(0, snapshot.size() - 4))};
+}
+
+TEST(CheckpointWireTest, GoldenV3Snapshots) {
+  const Workload workload = SmallWorkload(79, 10);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+
+  // A churned chain: a mid-stream registration that migrates in place
+  // (fresh-start gate) and an in-place removal (retired entry). Both land
+  // on existing slice boundaries: a split or merge would name its new
+  // slice from a process-wide migration serial, which depends on what ran
+  // earlier in the process.
+  Engine churned(BaseOptions(workload));
+  const QueryHandle h1 = churned.RegisterQuery(PlainQuery(2, "Q1"));
+  ASSERT_TRUE(churned.RegisterQuery(PlainQuery(6, "Q2")).valid());
+  ASSERT_TRUE(churned.RegisterQuery(PlainQuery(8, "Q3")).valid());
+  PushRange(&churned, merged, 0, StrictIncreaseAt(merged, merged.size() / 3));
+  ASSERT_TRUE(churned.RegisterQuery(PlainQuery(6, "Q4")).valid());
+  PushRange(&churned, merged, StrictIncreaseAt(merged, merged.size() / 3),
+            StrictIncreaseAt(merged, merged.size() / 2));
+  ASSERT_TRUE(churned.UnregisterQuery(h1));
+  ASSERT_EQ(churned.migrations(), 2u);
+  ASSERT_EQ(churned.rebuilds(), 0u);
+  std::string snapshot;
+  ASSERT_TRUE(churned.Checkpoint(&snapshot)) << churned.last_error();
+  EXPECT_EQ(Pin(snapshot), std::make_pair(size_t{72445}, uint32_t{3717678529}))
+      << "churned chain";
+
+  Engine::Options pull_up = BaseOptions(workload);
+  pull_up.strategy = SharingStrategy::kPullUp;
+  std::vector<ContinuousQuery> filtered = {PlainQuery(2, "P1"),
+                                           PlainQuery(5, "P2")};
+  filtered[0].selection_a = Predicate::GreaterThan(0.3);
+  EXPECT_EQ(Pin(SnapshotOf(pull_up, filtered, merged)),
+            std::make_pair(size_t{43978}, uint32_t{3919761165}))
+      << "pull-up plan";
+}
+
 TEST(CheckpointDeathTest, PushAfterFinishDies) {
   Engine engine;
   ASSERT_TRUE(engine.RegisterQuery(PlainQuery(2, "Q1")).valid());
