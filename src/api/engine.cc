@@ -59,7 +59,7 @@ const Engine::QueryRecord* Engine::FindActive(uint64_t token) const {
   return nullptr;
 }
 
-const Engine::RetiredQuery* Engine::FindRetired(uint64_t token) const {
+const RetiredQuery* Engine::FindRetired(uint64_t token) const {
   const auto it = std::lower_bound(
       retired_.begin(), retired_.end(), token,
       [](const RetiredQuery& r, uint64_t t) { return r.token < t; });
@@ -89,7 +89,7 @@ void Engine::RecomputeMaxStreams() {
 
 bool Engine::ValidateNewQuery(const ContinuousQuery& query,
                               std::string* error) const {
-  if (finished_) {
+  if (session_.finished) {
     *error = "engine already finished";
     return false;
   }
@@ -210,7 +210,7 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
     return {};
   }
   QueryRecord rec;
-  rec.token = next_token_++;
+  rec.token = session_.next_token++;
   rec.query = query;
   rec.query.id = 0;  // dense id assigned at (re)build / migration
   if (rec.query.name.empty()) {
@@ -220,7 +220,7 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
 
   // Until the first arrival there is nothing to cut off — whether or not
   // a plan was already built lazily (e.g. by PlanDot).
-  const bool saw_input = (input_tuples_ + dropped_tuples_) > 0;
+  const bool saw_input = (session_.input_tuples + session_.dropped_tuples) > 0;
   const TimePoint cutoff = saw_input ? Cutoff() : 0;
   rec.results_from = cutoff;
 
@@ -230,7 +230,7 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
     // the query observes arrivals from here on.
     active_.push_back(std::move(rec));
     RecomputeMaxStreams();
-    watermark_ = std::max(watermark_, cutoff);
+    session_.watermark = std::max(session_.watermark, cutoff);
     return {token};
   }
 
@@ -244,7 +244,7 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
     rec.query.id =
         migrator.AddQuery(rec.query.window, rec.query.name, cutoff);
     ValidateBuiltChain(built_);
-    ++migrations_;
+    ++session_.migrations;
     active_.push_back(std::move(rec));
   } else {
     // Drain-rebuild: flush and retire the current plan, then stand up a
@@ -252,15 +252,15 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
     // strategy; operator state resets at `cutoff`.
     TearDownPlan();
     active_.push_back(std::move(rec));
-    if (cutoff > 0) rebuild_cutoffs_.push_back(cutoff);
-    ++rebuilds_;
+    if (cutoff > 0) session_.rebuild_cutoffs.push_back(cutoff);
+    ++session_.rebuilds;
     BuildPlan();
   }
   RecomputeMaxStreams();
   // Registration advances the session watermark to the cutoff: arrivals
   // after the registration cannot tie with arrivals before it, so both
   // churn paths deliver exactly the post-cutoff join to the newcomer.
-  watermark_ = std::max(watermark_, cutoff);
+  session_.watermark = std::max(session_.watermark, cutoff);
   ResumeAfterSurgery();
   return {token};
 }
@@ -295,28 +295,24 @@ bool Engine::UnregisterQuery(QueryHandle handle) {
       TearDownPlan();
       Retire(index);
     } else if (CanMigrateRemove()) {
-      const int qid = rec->query.id;
-      rec->delivered += built_.sinks[qid]->result_count();
-      if (built_.collectors[qid] != nullptr) {
-        MergeMultiset(built_.collectors[qid]->ResultMultiset(),
+      FoldLiveResults(built_, rec->query.id, &rec->delivered,
                       &rec->collected);
-      }
       ChainMigrator migrator(&built_);
-      migrator.RemoveQuery(qid);
+      migrator.RemoveQuery(rec->query.id);
       ValidateBuiltChain(built_);
-      ++migrations_;
+      ++session_.migrations;
       Retire(index);
     } else {
       TearDownPlan();  // harvests every query, including this one
       Retire(index);
-      if ((input_tuples_ + dropped_tuples_) > 0) {
+      if ((session_.input_tuples + session_.dropped_tuples) > 0) {
         const TimePoint cutoff = Cutoff();
-        rebuild_cutoffs_.push_back(cutoff);
+        session_.rebuild_cutoffs.push_back(cutoff);
         // The rebuild advances the watermark so post-rebuild arrivals
         // cannot tie with pre-rebuild state (see RegisterQuery).
-        watermark_ = cutoff;
+        session_.watermark = cutoff;
       }
-      ++rebuilds_;
+      ++session_.rebuilds;
       BuildPlan();
     }
     ResumeAfterSurgery();
@@ -384,7 +380,7 @@ bool Engine::CanMigrateRemove() const {
 
 // -------------------------------------------------------------- lifecycle
 
-void Engine::BuildPlan() {
+void Engine::BuildPlan(const ChainPlan* chain) {
   SLICE_CHECK(!running());
   std::vector<ContinuousQuery> queries;
   queries.reserve(active_.size());
@@ -404,7 +400,7 @@ void Engine::BuildPlan() {
   // tree for binary workloads, which BuildStateSlicePlan wires exactly as
   // the historical chain.
   JoinTreePlan tree;
-  if (options_.strategy == SharingStrategy::kStateSlice) {
+  if (options_.strategy == SharingStrategy::kStateSlice && chain == nullptr) {
     tree = options_.objective == ChainObjective::kMemOpt
                ? BuildMemOptTree(queries)
                : BuildCpuOptTree(queries, options_.cost_params);
@@ -412,7 +408,8 @@ void Engine::BuildPlan() {
   const auto build_one = [&](const BuildOptions& opt) -> BuiltPlan {
     switch (options_.strategy) {
       case SharingStrategy::kStateSlice:
-        return BuildStateSlicePlan(queries, tree, opt);
+        return chain != nullptr ? BuildStateSlicePlan(queries, *chain, opt)
+                                : BuildStateSlicePlan(queries, tree, opt);
       case SharingStrategy::kPullUp:
         return BuildPullUpPlan(queries, opt);
       case SharingStrategy::kPushDown:
@@ -445,92 +442,108 @@ void Engine::BuildPlan() {
   for (SubscriptionRecord& sub : subscriptions_) {
     if (FindActive(sub.query_token) != nullptr) WireSubscription(&sub);
   }
-  if (options_.mode == ExecutionMode::kSharded && !finished_) {
-    StartSharded();
-  }
 }
 
 void Engine::EnsureBuilt() {
   // Idle engine: no plan, hence no scheduler and no worker threads — the
   // (single) caller thread trivially has the engine to itself.
   surgery_cap_.Assert();
-  if (!running() && !finished_ && active_queries() > 0) BuildPlan();
+  if (!running() && !session_.finished && active_queries() > 0) {
+    BuildPlan();
+    ResumeAfterSurgery();
+  }
+}
+
+void Engine::FoldLiveResults(const BuiltPlan& plan, int qid,
+                             uint64_t* delivered,
+                             std::map<std::string, int>* collected) {
+  if (plan.sinks[qid] != nullptr) {
+    *delivered += plan.sinks[qid]->result_count();
+  }
+  if (qid < static_cast<int>(plan.collectors.size()) &&
+      plan.collectors[qid] != nullptr) {
+    MergeMultiset(plan.collectors[qid]->ResultMultiset(), collected);
+  }
 }
 
 void Engine::HarvestSinks() {
   // In sharded mode the authoritative sinks live on the merge plan.
-  BuiltPlan& rp = result_plan();
   for (QueryRecord& r : active_) {
-    const int qid = r.query.id;
-    if (rp.sinks[qid] != nullptr) {
-      r.delivered += rp.sinks[qid]->result_count();
-    }
-    if (qid < static_cast<int>(rp.collectors.size()) &&
-        rp.collectors[qid] != nullptr) {
-      MergeMultiset(rp.collectors[qid]->ResultMultiset(), &r.collected);
-    }
+    FoldLiveResults(result_plan(), r.query.id, &r.delivered, &r.collected);
   }
 }
 
-CostCounters Engine::TotalCost() const {
-  CostCounters cost = cost_accum_;
+std::vector<BuiltPlan*> Engine::LivePlans() {
+  std::vector<BuiltPlan*> plans;
   if (sharded_ != nullptr) {
-    for (const BuiltPlan& shard : sharded_->shards) {
-      AddCost(shard.plan->cost_counters(), &cost);
-    }
-    AddCost(sharded_->merge.plan->cost_counters(), &cost);
+    for (BuiltPlan& shard : sharded_->shards) plans.push_back(&shard);
+    plans.push_back(&sharded_->merge);
   } else if (built_.plan != nullptr) {
-    AddCost(built_.plan->cost_counters(), &cost);
+    plans.push_back(&built_);
+  }
+  return plans;
+}
+
+CostCounters Engine::TotalCost() {
+  CostCounters cost = metrics_.cost;
+  for (const BuiltPlan* plan : LivePlans()) {
+    AddCost(plan->plan->cost_counters(), &cost);
   }
   return cost;
+}
+
+MemorySample Engine::DrainShardsIntoMerge(bool flush) {
+  MemorySample sizes{.time = session_.watermark};
+  const int nq = sharded_->num_queries();
+  EventRun relay;
+  for (int s = 0; s < sharded_->num_shards(); ++s) {
+    QueryPlan* plan = sharded_->shards[s].plan.get();
+    RoundRobinScheduler drain(plan);
+    drain.RunUntilQuiescent();
+    sizes.state_tuples += plan->TotalStateSize();
+    sizes.queue_events += plan->TotalQueueSize();
+    if (flush) {
+      plan->FinishAll();
+      drain.RunUntilQuiescent();
+    }
+    metrics_.events += drain.total_processed();
+    for (int q = 0; q < nq; ++q) {
+      while (sharded_->exits[s][q]->DrainRun(&relay, 256) > 0) {
+        sharded_->merge_entries[s][q]->PushRun(&relay);
+      }
+    }
+    SLICE_CHECK_EQ(plan->TotalQueueSize(), 0u);
+  }
+  QueryPlan* merge = sharded_->merge.plan.get();
+  RoundRobinScheduler mdrain(merge);
+  mdrain.RunUntilQuiescent();
+  metrics_.events += mdrain.total_processed();
+  sizes.state_tuples += merge->TotalStateSize();
+  sizes.queue_events += merge->TotalQueueSize();
+  return sizes;
 }
 
 void Engine::TearDownPlan() {
   SLICE_CHECK(running());
   if (sharded_ != nullptr) {
     PauseSharded();  // no-op if already paused
-    // Flush each replica: drain, Finish (emits the kMaxTime punctuations
-    // the merge unions need to release everything), drain again, then
-    // relay the exit-tap tails into the merge plan.
-    size_t state_tuples = 0;
-    size_t queue_events = 0;
-    const int nq = sharded_->num_queries();
-    for (int s = 0; s < sharded_->num_shards(); ++s) {
-      BuiltPlan& shard = sharded_->shards[s];
-      RoundRobinScheduler drain(shard.plan.get());
-      drain.RunUntilQuiescent();
-      state_tuples += shard.plan->TotalStateSize();
-      queue_events += shard.plan->TotalQueueSize();
-      shard.plan->FinishAll();
-      drain.RunUntilQuiescent();
-      events_accum_ += drain.total_processed();
-      EventRun relay;
-      for (int q = 0; q < nq; ++q) {
-        while (sharded_->exits[s][q]->DrainRun(&relay, 256) > 0) {
-          sharded_->merge_entries[s][q]->PushRun(&relay);
-        }
-      }
-    }
+    // Flush each replica (its kMaxTime punctuations let the merge unions
+    // release everything) into the merge plan, then flush the merge.
+    metrics_.memory_samples.push_back(DrainShardsIntoMerge(/*flush=*/true));
     RoundRobinScheduler mdrain(sharded_->merge.plan.get());
-    mdrain.RunUntilQuiescent();
-    memory_samples_.push_back(MemorySample{
-        .time = watermark_,
-        .state_tuples = state_tuples + sharded_->merge.plan->TotalStateSize(),
-        .queue_events = queue_events + sharded_->merge.plan->TotalQueueSize(),
-    });
     sharded_->merge.plan->FinishAll();
     mdrain.RunUntilQuiescent();
-    events_accum_ += mdrain.total_processed();
+    metrics_.events += mdrain.total_processed();
     HarvestSinks();
-    cost_accum_ = TotalCost();
+    metrics_.cost = TotalCost();
     sharded_.reset();
     for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
     return;
   }
   RoundRobinScheduler drain(built_.plan.get());
   drain.RunUntilQuiescent();
-  memory_samples_.push_back(MemorySample{
-      .time = watermark_,
+  metrics_.memory_samples.push_back(MemorySample{
+      .time = session_.watermark,
       .state_tuples = built_.plan->TotalStateSize(),
       .queue_events = built_.plan->TotalQueueSize(),
   });
@@ -538,13 +551,13 @@ void Engine::TearDownPlan() {
   // every held result before the plan goes away.
   built_.plan->FinishAll();
   drain.RunUntilQuiescent();
-  events_accum_ += drain.total_processed();
+  metrics_.events += drain.total_processed();
   if (det_scheduler_ != nullptr) {
-    events_accum_ += det_scheduler_->total_processed();
+    metrics_.events += det_scheduler_->total_processed();
     det_scheduler_.reset();
   }
   HarvestSinks();
-  cost_accum_ = TotalCost();
+  metrics_.cost = TotalCost();
   built_ = BuiltPlan{};
   for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
 }
@@ -570,15 +583,15 @@ void Engine::PauseSharded() {
   if (shard_scheduler_ == nullptr) return;
   shard_scheduler_->FinishInput();
   shard_scheduler_->Join();
-  poll_pending_ +=
+  session_.poll_pending +=
       shard_scheduler_->total_processed() - poll_segment_reported_;
   poll_segment_reported_ = 0;
-  events_accum_ += shard_scheduler_->total_processed();
-  parallel_edge_events_accum_ += shard_scheduler_->edges_total_pushed();
-  parallel_edge_hwm_ = std::max(parallel_edge_hwm_,
-                                shard_scheduler_->edges_high_water_mark());
-  shard_steals_accum_ += shard_scheduler_->steals();
-  shard_spilled_accum_ += shard_scheduler_->spilled_runs();
+  metrics_.events += shard_scheduler_->total_processed();
+  metrics_.edge_events += shard_scheduler_->edges_total_pushed();
+  metrics_.edge_hwm = std::max<uint64_t>(
+      metrics_.edge_hwm, shard_scheduler_->edges_high_water_mark());
+  metrics_.steals += shard_scheduler_->steals();
+  metrics_.spilled_runs += shard_scheduler_->spilled_runs();
   shard_scheduler_.reset();
 }
 
@@ -591,7 +604,7 @@ void Engine::QuiesceForSurgery() {
 }
 
 void Engine::ResumeAfterSurgery() {
-  if (running() && !finished_ &&
+  if (running() && !session_.finished &&
       options_.mode == ExecutionMode::kSharded &&
       shard_scheduler_ == nullptr) {
     StartSharded();
@@ -601,8 +614,8 @@ void Engine::ResumeAfterSurgery() {
 // --------------------------------------------------------------- ingestion
 
 void Engine::SampleMemory() {
-  memory_samples_.push_back(MemorySample{
-      .time = next_sample_,
+  metrics_.memory_samples.push_back(MemorySample{
+      .time = session_.next_sample,
       .state_tuples = built_.plan->TotalStateSize(),
       .queue_events = built_.plan->TotalQueueSize(),
   });
@@ -614,15 +627,15 @@ void Engine::Push(StreamId stream, const Tuple& tuple) {
 
 void Engine::RejectPush(StreamId stream, uint64_t count,
                         std::string reason) {
-  rejected_tuples_ += count;
+  session_.rejected_tuples += count;
   if (stream >= 0 && stream < static_cast<StreamId>(kMaxStreams)) {
-    rejected_by_stream_[stream] += count;
+    session_.rejected_by_stream[stream] += count;
   }
   last_error_ = std::move(reason);
 }
 
 void Engine::Push(StreamId stream, Tuple&& tuple) {
-  SLICE_CHECK(!finished_);
+  SLICE_CHECK(!session_.finished);
   STATESLICE_FAULT_POINT("engine.push");
   if (poisoned_) {
     RejectPush(stream, 1, "push rejected: engine poisoned by failed Restore");
@@ -642,19 +655,19 @@ void Engine::Push(StreamId stream, Tuple&& tuple) {
   // times are reserved (kMinTime parks restored union buffers, kMaxTime is
   // the end-of-stream punctuation).
   if (tuple.timestamp <= kMinTime || tuple.timestamp >= kMaxTime ||
-      tuple.timestamp < watermark_) {
+      tuple.timestamp < session_.watermark) {
     RejectPush(stream, 1,
                "push rejected: out-of-order or out-of-range timestamp " +
                    std::to_string(tuple.timestamp) + " on stream " +
                    std::to_string(stream) + " (watermark " +
-                   std::to_string(watermark_) + ")");
+                   std::to_string(session_.watermark) + ")");
     return;
   }
   tuple.side = stream;
   if (active_queries() == 0) {
     // Well-formed arrival with nobody registered: a drop, not a reject.
-    ++dropped_tuples_;
-    watermark_ = tuple.timestamp;
+    ++session_.dropped_tuples;
+    session_.watermark = tuple.timestamp;
     return;
   }
   if (stream >= max_streams_) {
@@ -663,7 +676,7 @@ void Engine::Push(StreamId stream, Tuple&& tuple) {
     RejectPush(stream, 1,
                "push rejected: stream " + std::to_string(stream) +
                    " is not read by any active query");
-    watermark_ = tuple.timestamp;
+    session_.watermark = tuple.timestamp;
     return;
   }
   EnsureBuilt();
@@ -671,13 +684,13 @@ void Engine::Push(StreamId stream, Tuple&& tuple) {
     // Deterministic mode: no worker threads exist, so the caller thread is
     // trivially exclusive (memory sampling touches guarded accumulators).
     surgery_cap_.Assert();
-    while (tuple.timestamp >= next_sample_) {
+    while (tuple.timestamp >= session_.next_sample) {
       SampleMemory();
-      next_sample_ += options_.sample_interval;
+      session_.next_sample += options_.sample_interval;
     }
   }
-  watermark_ = tuple.timestamp;
-  ++input_tuples_;
+  session_.watermark = tuple.timestamp;
+  ++session_.input_tuples;
   if (shard_scheduler_ != nullptr) {
     shard_scheduler_->PushEntry(Event(std::move(tuple)));
   } else {
@@ -689,7 +702,7 @@ void Engine::Push(StreamId stream, Tuple&& tuple) {
 }
 
 void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
-  SLICE_CHECK(!finished_);
+  SLICE_CHECK(!session_.finished);
   STATESLICE_FAULT_POINT("engine.push_batch");
   if (tuples.empty()) return;
   if (poisoned_) {
@@ -707,7 +720,7 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
   // the batch, first at or beyond the session watermark) so a rejection
   // never leaves a half-ingested batch behind: the batch bounces as a
   // unit, naming the first offending index.
-  TimePoint prev = watermark_;
+  TimePoint prev = session_.watermark;
   for (size_t i = 0; i < tuples.size(); ++i) {
     const Tuple& t = tuples[i];
     if (std::isnan(t.value)) {
@@ -729,15 +742,15 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
   }
   const TimePoint last = tuples.back().timestamp;
   if (active_queries() == 0) {
-    dropped_tuples_ += tuples.size();
-    watermark_ = last;
+    session_.dropped_tuples += tuples.size();
+    session_.watermark = last;
     return;
   }
   if (stream >= max_streams_) {
     RejectPush(stream, tuples.size(),
                "batch rejected: stream " + std::to_string(stream) +
                    " is not read by any active query");
-    watermark_ = last;
+    session_.watermark = last;
     return;
   }
   EnsureBuilt();
@@ -745,13 +758,13 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
     // Same exclusivity argument as Push. Sampling is batch-granular: all
     // samples due within the batch observe the pre-batch state.
     surgery_cap_.Assert();
-    while (last >= next_sample_) {
+    while (last >= session_.next_sample) {
       SampleMemory();
-      next_sample_ += options_.sample_interval;
+      session_.next_sample += options_.sample_interval;
     }
   }
-  watermark_ = last;
-  input_tuples_ += tuples.size();
+  session_.watermark = last;
+  session_.input_tuples += tuples.size();
   if (shard_scheduler_ != nullptr) {
     // Stage the batch in the reused run buffer; the router partitions the
     // run. A flush at the batch boundary bounds how long a partial spill
@@ -793,18 +806,19 @@ uint64_t Engine::Poll(uint64_t max_events) {
     // progress even below the spill-run granule, then report the workers'
     // progress since the last Poll. The engine is single-caller, so plain
     // counters suffice; PauseSharded folds a finishing segment's remainder
-    // into poll_pending_.
+    // into session_.poll_pending.
     shard_scheduler_->FlushInput();
     const uint64_t current = shard_scheduler_->total_processed();
-    const uint64_t delta = poll_pending_ + (current - poll_segment_reported_);
+    const uint64_t delta =
+        session_.poll_pending + (current - poll_segment_reported_);
     poll_segment_reported_ = current;
-    poll_pending_ = 0;
+    session_.poll_pending = 0;
     return delta;
   }
   // A paused or finished sharded engine still owes the remainder folded
-  // in at the last pause; deterministic engines keep poll_pending_ at 0.
-  const uint64_t carried = poll_pending_;
-  poll_pending_ = 0;
+  // in at the last pause; deterministic engines keep poll_pending at 0.
+  const uint64_t carried = session_.poll_pending;
+  session_.poll_pending = 0;
   if (!running() || det_scheduler_ == nullptr) return carried;
   return carried + det_scheduler_->RunSome(max_events);
 }
@@ -820,14 +834,14 @@ void Engine::Drain() {
 }
 
 void Engine::Finish() {
-  if (finished_) return;
+  if (session_.finished) return;
   if (running()) {
     // Establishes the surgery capability TearDownPlan requires (a no-op
     // when already deterministic and quiescent: TearDownPlan re-drains).
     QuiesceForSurgery();
     TearDownPlan();
   }
-  finished_ = true;
+  session_.finished = true;
 }
 
 // ----------------------------------------------------------------- results
@@ -843,7 +857,7 @@ SubscriptionId Engine::Subscribe(QueryHandle handle,
     return {};
   }
   SubscriptionRecord sub;
-  sub.token = next_token_++;
+  sub.token = session_.next_token++;
   sub.query_token = handle.token;
   sub.callback = std::move(callback);
   const uint64_t token = sub.token;
@@ -995,7 +1009,7 @@ int Engine::CompactChain() {
   }
   if (merges > 0) {
     ValidateBuiltChain(built_);
-    ++migrations_;
+    ++session_.migrations;
   }
   ResumeAfterSurgery();
   return merges;
@@ -1015,10 +1029,10 @@ RunStats Engine::Snapshot() {
   // (deterministic mode / idle): the accumulators are this thread's.
   surgery_cap_.Assert();
 
-  stats.input_tuples = input_tuples_;
-  stats.rejected_tuples = rejected_tuples_;
-  stats.rejected_by_stream = rejected_by_stream_;
-  stats.events_processed = events_accum_;
+  stats.input_tuples = session_.input_tuples;
+  stats.rejected_tuples = session_.rejected_tuples;
+  stats.rejected_by_stream = session_.rejected_by_stream;
+  stats.events_processed = metrics_.events;
   if (det_scheduler_ != nullptr) {
     stats.events_processed += det_scheduler_->total_processed();
   }
@@ -1030,14 +1044,14 @@ RunStats Engine::Snapshot() {
           result_plan().sinks[r.query.id]->result_count();
     }
   }
-  stats.virtual_end_time = watermark_;
+  stats.virtual_end_time = session_.watermark;
   stats.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - created_)
                            .count();
   stats.cost = TotalCost();
-  stats.memory_samples = memory_samples_;
+  stats.memory_samples = metrics_.memory_samples;
   if (running()) {
-    MemorySample sample{.time = watermark_};
+    MemorySample sample{.time = session_.watermark};
     if (sharded_ != nullptr) {
       for (const BuiltPlan& shard : sharded_->shards) {
         sample.state_tuples += shard.plan->TotalStateSize();
@@ -1051,10 +1065,10 @@ RunStats Engine::Snapshot() {
     }
     stats.memory_samples.push_back(sample);
   }
-  stats.parallel_edge_events = parallel_edge_events_accum_;
-  stats.parallel_edge_high_water_mark = parallel_edge_hwm_;
-  stats.shard_steals = shard_steals_accum_;
-  stats.shard_spilled_runs = shard_spilled_accum_;
+  stats.parallel_edge_events = metrics_.edge_events;
+  stats.parallel_edge_high_water_mark = metrics_.edge_hwm;
+  stats.shard_steals = metrics_.steals;
+  stats.shard_spilled_runs = metrics_.spilled_runs;
 
   if (had_workers) ResumeAfterSurgery();
   return stats;

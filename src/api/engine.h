@@ -120,6 +120,49 @@ enum class ChainObjective {
 // Tuples pushed into streams no active query reads are dropped (counted
 // in dropped_tuples).
 
+// Engine internals at namespace scope so the checkpoint codec
+// (src/api/checkpoint.cc) can visit them: each struct is written and read
+// by one field list there, in member order.
+
+// What a removed query leaves behind: its final totals only (no query, no
+// name), so a long session's history costs a few words per query.
+struct RetiredQuery {
+  uint64_t token = 0;
+  TimePoint results_from = 0;
+  uint64_t delivered = 0;
+  std::map<std::string, int> collected;  // empty unless collect_results
+};
+
+// The session's scalars and churn history.
+struct SessionCounters {
+  uint64_t next_token = 1;
+  TimePoint watermark = 0;
+  TimePoint next_sample = 0;
+  bool finished = false;
+  uint64_t input_tuples = 0;
+  uint64_t dropped_tuples = 0;
+  uint64_t rejected_tuples = 0;
+  std::vector<uint64_t> rejected_by_stream =
+      std::vector<uint64_t>(kMaxStreams, 0);
+  uint64_t migrations = 0;
+  uint64_t rebuilds = 0;
+  std::vector<TimePoint> rebuild_cutoffs;
+  // Sharded-mode Poll bookkeeping: events reported by finished worker
+  // segments that Poll has not returned yet.
+  uint64_t poll_pending = 0;
+};
+
+// Metrics folded in from finished plan epochs and scheduler segments.
+struct SessionMetrics {
+  uint64_t events = 0;
+  uint64_t edge_events = 0;
+  uint64_t edge_hwm = 0;
+  uint64_t steals = 0;
+  uint64_t spilled_runs = 0;
+  CostCounters cost;
+  std::vector<MemorySample> memory_samples;
+};
+
 // A long-lived multi-query streaming session.
 class Engine {
  public:
@@ -328,29 +371,29 @@ class Engine {
   std::string PlanDot();
 
   size_t active_queries() const { return active_.size(); }
-  TimePoint watermark() const { return watermark_; }
+  TimePoint watermark() const { return session_.watermark; }
   bool running() const {
     return built_.plan != nullptr || sharded_ != nullptr;
   }
-  bool finished() const { return finished_; }
-  uint64_t input_tuples() const { return input_tuples_; }
-  uint64_t dropped_tuples() const { return dropped_tuples_; }
+  bool finished() const { return session_.finished; }
+  uint64_t input_tuples() const { return session_.input_tuples; }
+  uint64_t dropped_tuples() const { return session_.dropped_tuples; }
   // Arrivals bounced at ingestion with a one-line reason in last_error():
   // NaN values, out-of-order or out-of-range timestamps, streams no active
   // query reads (see Push). Per-stream counts index by stream id; pushes
   // with an invalid id count in the total only.
-  uint64_t rejected_tuples() const { return rejected_tuples_; }
+  uint64_t rejected_tuples() const { return session_.rejected_tuples; }
   const std::vector<uint64_t>& rejected_by_stream() const {
-    return rejected_by_stream_;
+    return session_.rejected_by_stream;
   }
   // Churn operations served in place by ChainMigrator — registrations,
   // removals, and CompactChain passes — without a plan rebuild.
-  uint64_t migrations() const { return migrations_; }
+  uint64_t migrations() const { return session_.migrations; }
   // Drain-rebuild transitions; each entry of rebuild_cutoffs() is the
   // cutoff timestamp of one rebuild (operator state reset at that point).
-  uint64_t rebuilds() const { return rebuilds_; }
+  uint64_t rebuilds() const { return session_.rebuilds; }
   const std::vector<TimePoint>& rebuild_cutoffs() const {
-    return rebuild_cutoffs_;
+    return session_.rebuild_cutoffs;
   }
   const Options& options() const { return options_; }
 
@@ -362,14 +405,6 @@ class Engine {
     TimePoint results_from = 0;
     uint64_t delivered = 0;                 // finalized plan epochs
     std::map<std::string, int> collected;   // finalized plan epochs
-  };
-  // What a removed query leaves behind: its final totals only (no query,
-  // no name), so a long session's history costs a few words per query.
-  struct RetiredQuery {
-    uint64_t token = 0;
-    TimePoint results_from = 0;
-    uint64_t delivered = 0;
-    std::map<std::string, int> collected;  // empty unless collect_results
   };
   struct SubscriptionRecord {
     uint64_t token = 0;
@@ -403,16 +438,33 @@ class Engine {
   // trivially exclusive (idle engine, deterministic mode) assert it with a
   // justification comment.
 
-  // Builds the shared plan over the active queries and starts execution.
-  void BuildPlan() STATESLICE_REQUIRES(surgery_cap_);
+  // Builds the shared plan over the active queries (dense ids in record
+  // order), from `chain` when given, else from the recomputed chain/tree.
+  // Sharded workers stay parked: callers start them with
+  // ResumeAfterSurgery.
+  void BuildPlan(const ChainPlan* chain = nullptr)
+      STATESLICE_REQUIRES(surgery_cap_);
   void EnsureBuilt();
   // Harvests sinks, folds metrics, flushes (FinishAll) and destroys the
   // current plan. The engine is idle afterwards.
   void TearDownPlan() STATESLICE_REQUIRES(surgery_cap_);
+  // Sharded: drains every replica (flushing it with end-of-stream
+  // punctuations first when `flush`), relays each replica's exit-tap tail
+  // into the merge plan, then drains the merge plan. Returns the plans'
+  // state and queue sizes before any flush.
+  MemorySample DrainShardsIntoMerge(bool flush)
+      STATESLICE_REQUIRES(surgery_cap_);
+  // Every live plan: the shard replicas then the merge plan, or built_.
+  std::vector<BuiltPlan*> LivePlans();
   void HarvestSinks() STATESLICE_REQUIRES(surgery_cap_);
+  // Adds query `qid`'s live sink count and collected multiset on `plan`
+  // to the given totals.
+  static void FoldLiveResults(const BuiltPlan& plan, int qid,
+                              uint64_t* delivered,
+                              std::map<std::string, int>* collected);
   // The folded cost accumulators plus the live plans' counters, logical
   // and physical.
-  CostCounters TotalCost() const STATESLICE_REQUIRES(surgery_cap_);
+  CostCounters TotalCost() STATESLICE_REQUIRES(surgery_cap_);
 
   // Launch / join the shard workers + merge worker over sharded_.
   // PauseSharded folds their counters; after it returns no other thread
@@ -433,7 +485,7 @@ class Engine {
   bool CanMigrateAdd(const ContinuousQuery& query) const;
   bool CanMigrateRemove() const;
   // The cutoff new arrivals are guaranteed to be at or beyond.
-  TimePoint Cutoff() const { return watermark_ + 1; }
+  TimePoint Cutoff() const { return session_.watermark + 1; }
 
   void WireSubscription(SubscriptionRecord* sub)
       STATESLICE_REQUIRES(surgery_cap_);
@@ -441,7 +493,7 @@ class Engine {
 
   Options options_;
   std::string last_error_;
-  uint64_t next_token_ = 1;
+  SessionCounters session_;
   std::vector<QueryRecord> active_;  // live queries, registration order
   // Removed queries, sorted by token: a flat map, so Checkpoint scans it
   // contiguously and lookups binary-search it. Retire inserts in token
@@ -460,41 +512,18 @@ class Engine {
   std::unique_ptr<ShardedScheduler> shard_scheduler_;
   int last_shard_count_ = 0;
 
-  TimePoint watermark_ = 0;
   int max_streams_ = 0;  // streams read by active queries (Push drop check)
   // Reused PushBatch staging run (single-caller engine: one suffices).
   EventRun batch_run_;
-  // Sharded-mode Poll bookkeeping (single-caller thread): events reported
-  // from finished worker segments not yet returned by Poll, and how much
-  // of the *current* segment's total_processed() Poll already reported.
-  uint64_t poll_pending_ = 0;
+  // Sharded-mode Poll bookkeeping (single-caller thread): how much of the
+  // *current* worker segment's total_processed() Poll already reported.
   uint64_t poll_segment_reported_ = 0;
-  TimePoint next_sample_ = 0;
-  bool finished_ = false;
   // Set when a Restore failed partway: the engine rejects ingestion and
   // registration but keeps answering snapshots (see poisoned()).
   bool poisoned_ = false;
-  uint64_t input_tuples_ = 0;
-  uint64_t dropped_tuples_ = 0;
-  uint64_t rejected_tuples_ = 0;
-  std::vector<uint64_t> rejected_by_stream_ =
-      std::vector<uint64_t>(kMaxStreams, 0);
-  uint64_t migrations_ = 0;
-  uint64_t rebuilds_ = 0;
-  std::vector<TimePoint> rebuild_cutoffs_;
-
-  // Metrics folded in from finished plan epochs / scheduler segments.
   // Guarded by the surgery capability: folds happen at pause/teardown
   // points, reads at quiescent snapshots.
-  uint64_t events_accum_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
-  uint64_t parallel_edge_events_accum_ STATESLICE_GUARDED_BY(surgery_cap_) =
-      0;
-  size_t parallel_edge_hwm_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
-  uint64_t shard_steals_accum_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
-  uint64_t shard_spilled_accum_ STATESLICE_GUARDED_BY(surgery_cap_) = 0;
-  CostCounters cost_accum_ STATESLICE_GUARDED_BY(surgery_cap_);
-  std::vector<MemorySample> memory_samples_
-      STATESLICE_GUARDED_BY(surgery_cap_);
+  SessionMetrics metrics_ STATESLICE_GUARDED_BY(surgery_cap_);
   std::chrono::steady_clock::time_point created_;
 
   // "Workers quiescent, this thread owns the engine" (see the surgery

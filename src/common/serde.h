@@ -24,6 +24,8 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace stateslice {
 
@@ -38,19 +40,43 @@ constexpr T SwapBytes(T v) {
   return out;
 }
 
-// Appends little-endian fixed-width values to an owned byte buffer.
-class StateWriter {
+// Sticky failure state shared by both ends of the codec: once failed, an
+// archive stays failed and keeps the first reason given (empty when a read
+// simply ran out of bytes), so a caller can encode or decode a whole
+// section and check once.
+class SerdeStatus {
  public:
-  void U8(uint8_t v) { data_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { AppendLe(v); }
-  void U64(uint64_t v) { AppendLe(v); }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Double(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
+  bool ok() const { return ok_; }
+  const std::string& error() const { return error_; }
+  void Fail(std::string why) {
+    if (!ok_) return;
+    ok_ = false;
+    error_ = std::move(why);
   }
+
+ protected:
+  bool ok_ = true;
+  std::string error_;
+};
+
+// Appends little-endian fixed-width values to an owned byte buffer.
+class StateWriter : public SerdeStatus {
+ public:
+  // Any wire scalar by its type (uint8_t, uint32_t, uint64_t, int64_t,
+  // double): one append of its little-endian bytes.
+  template <typename T>
+  void Put(T v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      AppendLe(std::bit_cast<uint64_t>(v));
+    } else {
+      AppendLe(static_cast<std::make_unsigned_t<T>>(v));
+    }
+  }
+  void U8(uint8_t v) { Put(v); }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
+  void I64(int64_t v) { Put(v); }
+  void Double(double v) { Put(v); }
   // Length-prefixed byte string (u32 length + raw bytes).
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
@@ -62,7 +88,6 @@ class StateWriter {
   std::string Take() { return std::move(data_); }
 
  private:
-  // One append of the value's bytes in little-endian order.
   template <typename T>
   void AppendLe(T v) {
     if constexpr (std::endian::native == std::endian::big) v = SwapBytes(v);
@@ -73,32 +98,31 @@ class StateWriter {
 };
 
 // Bounds-checked reader over an immutable byte buffer. Reads advance an
-// offset; any read past the end returns false and leaves the output
-// untouched. Once a read fails the reader stays failed (ok() == false) so
-// callers can decode a whole section and check once.
-class StateReader {
+// offset; any read past the end returns false, leaves the output untouched
+// and fails the reader for good (ok() == false).
+class StateReader : public SerdeStatus {
  public:
   explicit StateReader(std::string_view data) : data_(data) {}
 
-  bool U8(uint8_t* out) {
-    if (!Require(1)) return false;
-    *out = static_cast<uint8_t>(data_[offset_++]);
+  // The inverse of StateWriter::Put: one bounds check and one copy.
+  template <typename T>
+  bool Get(T* out) {
+    using Bits = typename std::conditional_t<std::is_floating_point_v<T>,
+                                             std::type_identity<uint64_t>,
+                                             std::make_unsigned<T>>::type;
+    if (!Require(sizeof(Bits))) return false;
+    Bits v;
+    std::memcpy(&v, data_.data() + offset_, sizeof(v));
+    if constexpr (std::endian::native == std::endian::big) v = SwapBytes(v);
+    offset_ += sizeof(v);
+    *out = std::bit_cast<T>(v);
     return true;
   }
-  bool U32(uint32_t* out) { return ReadLe(out); }
-  bool U64(uint64_t* out) { return ReadLe(out); }
-  bool I64(int64_t* out) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    *out = static_cast<int64_t>(bits);
-    return true;
-  }
-  bool Double(double* out) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
+  bool U8(uint8_t* out) { return Get(out); }
+  bool U32(uint32_t* out) { return Get(out); }
+  bool U64(uint64_t* out) { return Get(out); }
+  bool I64(int64_t* out) { return Get(out); }
+  bool Double(double* out) { return Get(out); }
   bool Str(std::string* out) {
     uint32_t len;
     if (!U32(&len) || !Require(len)) return false;
@@ -107,7 +131,6 @@ class StateReader {
     return true;
   }
 
-  bool ok() const { return ok_; }
   size_t offset() const { return offset_; }
   size_t remaining() const { return data_.size() - offset_; }
   bool AtEnd() const { return offset_ == data_.size(); }
@@ -120,21 +143,9 @@ class StateReader {
     }
     return true;
   }
-  // One bounds check and one copy per little-endian scalar.
-  template <typename T>
-  bool ReadLe(T* out) {
-    if (!Require(sizeof(T))) return false;
-    T v;
-    std::memcpy(&v, data_.data() + offset_, sizeof(T));
-    if constexpr (std::endian::native == std::endian::big) v = SwapBytes(v);
-    offset_ += sizeof(T);
-    *out = v;
-    return true;
-  }
 
   std::string_view data_;
   size_t offset_ = 0;
-  bool ok_ = true;
 };
 
 // Reflected CRC-32 (polynomial 0xEDB88320) over the given bytes.

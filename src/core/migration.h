@@ -57,6 +57,12 @@ class ChainMigrator {
   int AddQuery(WindowSpec window, const std::string& name,
                TimePoint results_from = 0);
 
+  // Puts a fresh-start ResultTimeGate(`cutoff`) in front of query
+  // `query_id`'s sinks: the sink edges move behind the gate, which the
+  // query's terminal (slice, router branch or union) now feeds. AddQuery
+  // uses it; Engine::Restore re-installs checkpointed gates with it.
+  void InstallFreshStartGate(int query_id, TimePoint cutoff);
+
   // Unregisters query `query_id`: detaches its result edges, gate, union
   // and sinks. The slices it used remain (call MergeSlices to compact
   // afterwards, as the paper suggests).

@@ -22,6 +22,7 @@
 
 #include "src/core/chain_builder.h"
 #include "src/operators/join_condition.h"
+#include "src/operators/selection.h"
 #include "src/operators/sliced_window_join.h"
 #include "src/operators/union_merge.h"
 #include "src/query/query.h"
@@ -107,7 +108,7 @@ struct BuiltPlan {
   // [query id] fresh-start ResultTimeGate in front of the query's sinks
   // (queries registered on a running chain; see ChainMigrator::AddQuery).
   // Null for queries wired at build time.
-  std::vector<Operator*> result_gates;
+  std::vector<ResultTimeGate*> result_gates;
 
   // The queries the plan was built for (by value; migration updates it).
   std::vector<ContinuousQuery> queries;

@@ -663,6 +663,52 @@ TEST(CheckpointTest, OptionsFingerprintMismatchIsNamed) {
   EXPECT_FALSE(e3.Restore(snapshot));
   EXPECT_NE(e3.last_error().find("condition"), std::string::npos)
       << e3.last_error();
+
+  // Every other fingerprint field, changed alone, is the one named.
+  std::vector<std::pair<std::string, Engine::Options>> fields;
+  const auto changed = [&](std::string field) -> Engine::Options& {
+    fields.emplace_back(std::move(field), BaseOptions(workload));
+    return fields.back().second;
+  };
+  changed("strategy").strategy = SharingStrategy::kPullUp;
+  changed("use_lineage").use_lineage = true;
+  changed("collect_results").collect_results = false;
+  changed("parallel_edge_capacity").parallel_edge_capacity *= 2;
+  changed("condition.mod").condition.mod += 1;
+  changed("condition.band").condition.band += 1;
+  changed("sample_interval").sample_interval *= 2;
+  changed("auto_drain").auto_drain = false;
+  changed("run_length").run_length = 16;
+  changed("cost_params.lambda_a").cost_params.lambda_a += 1;
+  changed("cost_params.lambda_b").cost_params.lambda_b += 1;
+  changed("cost_params.s1").cost_params.s1 += 1;
+  changed("cost_params.c_sys").cost_params.c_sys += 1;
+  changed("cost_params.tuple_kb").cost_params.tuple_kb += 1;
+  for (const auto& [field, options] : fields) {
+    Engine engine(options);
+    EXPECT_FALSE(engine.Restore(snapshot)) << field;
+    EXPECT_NE(engine.last_error().find("options mismatch: " + field),
+              std::string::npos)
+        << field << ": " << engine.last_error();
+  }
+
+  // The resolved shard count: a sharded snapshot refuses another count.
+  Workload equi = SmallWorkload(43, 6);
+  RekeyForEquiJoin(&equi, /*key_domain=*/16, /*seed=*/43);
+  Engine::Options two_shards = BaseOptions(equi);
+  two_shards.mode = ExecutionMode::kSharded;
+  two_shards.shard_count = 2;
+  Engine source(two_shards);
+  ASSERT_TRUE(source.RegisterQuery(PlainQuery(2, "Q1")).valid());
+  std::string sharded_snapshot;
+  ASSERT_TRUE(source.Checkpoint(&sharded_snapshot)) << source.last_error();
+  Engine::Options three_shards = two_shards;
+  three_shards.shard_count = 3;
+  Engine e4(three_shards);
+  EXPECT_FALSE(e4.Restore(sharded_snapshot));
+  EXPECT_NE(e4.last_error().find("options mismatch: shard_count (resolved)"),
+            std::string::npos)
+      << e4.last_error();
 }
 
 TEST(CheckpointTest, RestoreRequiresFreshEngineWithoutPoisoning) {
