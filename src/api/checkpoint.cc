@@ -239,10 +239,11 @@ void Visit(Ar& ar, ActiveEntry& e) {
 template <typename Ar, typename T>
 void Visit(Ar& ar, std::vector<T>& v, size_t min_bytes = 1) {
   const uint32_t n = Count(ar, v.size(), min_bytes);
-  if constexpr (kReading<Ar>) v.resize(n);
-  for (T& x : v) {
-    if (!ar.ok()) return;
-    Visit(ar, x);
+  if constexpr (kReading<Ar>) {
+    v.reserve(n);
+    for (uint32_t i = 0; i < n && ar.ok(); ++i) Visit(ar, v.emplace_back());
+  } else {
+    for (T& x : v) Visit(ar, x);
   }
 }
 
@@ -816,8 +817,10 @@ bool Engine::Restore(std::string_view snapshot) {
   }
   for (size_t i = 0; i < active.size(); ++i) {
     if (active[i].gate_cutoff < 0) continue;
-    ChainMigrator(&built_).InstallFreshStartGate(active_[i].query.id,
-                                                 active[i].gate_cutoff);
+    const int qid = active_[i].query.id;
+    const SinkEdge terminal = built_.sink_edges[qid].front();
+    ChainMigrator(&built_).InstallFreshStartGate(
+        qid, active[i].gate_cutoff, terminal.producer, terminal.producer_port);
   }
   if (has_chain != 0) ValidateBuiltChain(built_);
 

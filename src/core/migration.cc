@@ -425,6 +425,14 @@ int ChainMigrator::AddQuery(WindowSpec window, const std::string& name,
     terminal = merge;
     terminal_port = UnionMerge::kOutPort;
   }
+  if (results_from > 0) {
+    // Fresh-start semantics: suppress results joining pre-registration
+    // state so the query delivers exactly the join over tuples with
+    // timestamp >= results_from.
+    terminal = InstallFreshStartGate(qid, results_from, terminal,
+                                     terminal_port);
+    terminal_port = ResultTimeGate::kOutPort;
+  }
   EventQueue* cq =
       plan->ConnectWhileRunning(terminal, terminal_port, counting, 0);
   built_->sink_edges[qid].push_back(
@@ -435,44 +443,40 @@ int ChainMigrator::AddQuery(WindowSpec window, const std::string& name,
     built_->sink_edges[qid].push_back(
         SinkEdge{terminal, terminal_port, xq, collecting});
   }
-  // Fresh-start semantics: suppress results joining pre-registration state
-  // so the query delivers exactly the join over tuples with timestamp >=
-  // results_from.
-  if (results_from > 0) InstallFreshStartGate(qid, results_from);
   return qid;
 }
 
-void ChainMigrator::InstallFreshStartGate(int query_id, TimePoint cutoff) {
+ResultTimeGate* ChainMigrator::InstallFreshStartGate(int query_id,
+                                                     TimePoint cutoff,
+                                                     Operator* terminal,
+                                                     int terminal_port) {
   CheckQuiescent();
   QueryPlan* plan = built_->plan.get();
   // Quiescent plan + single-caller Engine contract (see SplitSlice).
   plan->AssertSurgeryExclusive();
   SLICE_CHECK(built_->result_gates[query_id] == nullptr);
-  std::vector<SinkEdge>& edges = built_->sink_edges[query_id];
-  SLICE_CHECK(!edges.empty());
-  const SinkEdge terminal = edges.front();
   auto* gate = plan->InsertOperatorWhileRunning(
       std::make_unique<ResultTimeGate>(
           built_->queries[query_id].name + ".fresh", cutoff));
-  for (SinkEdge& edge : edges) {
+  built_->result_gates[query_id] = gate;
+  EventQueue* gq = plan->ConnectWhileRunning(terminal, terminal_port, gate, 0);
+  for (SinkEdge& edge : built_->sink_edges[query_id]) {
     plan->MoveQueueProducer(edge.queue, edge.producer, edge.producer_port,
                             gate, ResultTimeGate::kOutPort);
     edge.producer = gate;
     edge.producer_port = ResultTimeGate::kOutPort;
   }
-  EventQueue* gq = plan->ConnectWhileRunning(
-      terminal.producer, terminal.producer_port, gate, 0);
-  built_->result_gates[query_id] = gate;
-  if (built_->merges[query_id] != nullptr) return;
+  if (built_->merges[query_id] != nullptr) return gate;
   // A slice-direct query: the slice -> gate queue is the edge split/merge
   // re-route.
   for (ResultEdge& edge : built_->result_edges) {
     if (edge.query_id == query_id && edge.merge == nullptr &&
         edge.queue == nullptr) {
       edge.queue = gq;
-      return;
+      break;
     }
   }
+  return gate;
 }
 
 void ChainMigrator::RemoveQuery(int query_id) {

@@ -57,11 +57,15 @@ class ChainMigrator {
   int AddQuery(WindowSpec window, const std::string& name,
                TimePoint results_from = 0);
 
-  // Puts a fresh-start ResultTimeGate(`cutoff`) in front of query
-  // `query_id`'s sinks: the sink edges move behind the gate, which the
-  // query's terminal (slice, router branch or union) now feeds. AddQuery
-  // uses it; Engine::Restore re-installs checkpointed gates with it.
-  void InstallFreshStartGate(int query_id, TimePoint cutoff);
+  // Puts a fresh-start ResultTimeGate(`cutoff`) behind query `query_id`'s
+  // terminal output (its slice, router branch or union) and moves the sink
+  // edges already wired to that output behind the gate. Returns the gate;
+  // further sinks attach at ResultTimeGate::kOutPort. AddQuery installs
+  // the gate before wiring sinks; Engine::Restore re-installs checkpointed
+  // gates on a rebuilt plan.
+  ResultTimeGate* InstallFreshStartGate(int query_id, TimePoint cutoff,
+                                        Operator* terminal,
+                                        int terminal_port);
 
   // Unregisters query `query_id`: detaches its result edges, gate, union
   // and sinks. The slices it used remain (call MergeSlices to compact
