@@ -29,7 +29,6 @@
 // snapshot yields a diagnostic, not UB, in time linear in its size.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -406,8 +405,8 @@ void VisitPlanState(Ar& ar, BuiltPlan& built,
     Expect<uint8_t>(ar, "join type", j.sliced == nullptr);
     // Decoded but not checked: a migration-created join is named
     // differently from its rebuilt twin.
-    std::string name = j.sliced != nullptr ? j.sliced->name()
-                                           : j.sliding->name();
+    std::string name =
+        j.sliced != nullptr ? j.sliced->name() : j.sliding->name();
     Io(ar, name);
     if (j.sliced != nullptr) {
       const SliceRange& range = j.sliced->range();
@@ -449,8 +448,9 @@ void VisitPlanState(Ar& ar, BuiltPlan& built,
   std::vector<std::pair<std::string, UnionMerge*>> by_name;
   for (const std::unique_ptr<Operator>& op : built.plan->operators()) {
     auto* merge = dynamic_cast<UnionMerge*>(op.get());
-    if (merge == nullptr || std::find(built.merges.begin(), built.merges.end(),
-                                      merge) != built.merges.end()) {
+    const auto& merges = built.merges;
+    if (merge == nullptr ||
+        std::find(merges.begin(), merges.end(), merge) != merges.end()) {
       continue;
     }
     others.push_back(merge);
@@ -772,8 +772,10 @@ bool Engine::Restore(std::string_view snapshot) {
       const std::vector<int64_t>& b = chain.spec.boundaries;
       const std::vector<int>& ends = chain.partition.slice_end_boundaries;
       const auto ascending = [](const auto& v) {
-        return std::adjacent_find(v.begin(), v.end(),
-                                  std::greater_equal<>()) == v.end();
+        for (size_t i = 1; i < v.size(); ++i) {
+          if (v[i] <= v[i - 1]) return false;
+        }
+        return true;
       };
       if (b.empty() || b.front() <= 0 || !ascending(b) || ends.empty() ||
           ends.front() < 0 || !ascending(ends) ||

@@ -821,11 +821,11 @@ void ExpectReencodesIdentically(const Engine::Options& options,
                                 const std::string& snapshot,
                                 const std::string& name) {
   Engine restored(options);
-  ASSERT_TRUE(restored.Restore(snapshot)) << name << ": "
-                                          << restored.last_error();
+  ASSERT_TRUE(restored.Restore(snapshot))
+      << name << ": " << restored.last_error();
   std::string again;
-  ASSERT_TRUE(restored.Checkpoint(&again)) << name << ": "
-                                           << restored.last_error();
+  ASSERT_TRUE(restored.Checkpoint(&again))
+      << name << ": " << restored.last_error();
   EXPECT_EQ(again.size(), snapshot.size()) << name;
   EXPECT_TRUE(again == snapshot) << name;
 }
