@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   wspec.join_selectivity = 0.025;
   wspec.seed = 5;
   const Workload workload = GenerateWorkload(wspec);
+  const std::vector<Tuple> arrivals = MergedArrivals(workload);
   BuildOptions options;
   options.condition = workload.condition;
 
@@ -78,8 +79,10 @@ int main(int argc, char** argv) {
     chain.spec = spec;
     chain.partition = GroupedPartition(spec.num_boundaries(), groups);
     ValidatePartition(chain.spec, chain.partition);
+    // Hand-picked partitions are builder-level: the Engine builds only the
+    // Mem-Opt and CPU-Opt chains.
     BuiltPlan built = BuildStateSlicePlan(queries, chain, options);
-    const BenchRun run = RunBench(&built, workload, 30);
+    const BenchRun run = RunBuiltPlan(&built, arrivals);
     const double tuples = static_cast<double>(run.stats.input_tuples);
     std::printf("%7d %12.1f %12.2f %12.2f %12.1f %12.1f\n",
                 chain.partition.num_slices(),
@@ -162,13 +165,12 @@ int main(int argc, char** argv) {
     WorkloadSpec w2 = wspec;
     w2.duration_s = part2_duration_s;
     const Workload load = GenerateWorkload(w2);
-    BuildOptions opt;
+    const std::vector<Tuple> load_arrivals = MergedArrivals(load);
+    Engine::Options opt;
     opt.condition = load.condition;
-    BuiltPlan chain_plan =
-        BuildStateSlicePlan(qs, BuildMemOptChain(qs), opt);
-    const BenchRun chain_run = RunBench(&chain_plan, load, 30);
-    BuiltPlan unshared_plan = BuildUnsharedPlans(qs, opt);
-    const BenchRun unshared_run = RunBench(&unshared_plan, load, 30);
+    const BenchRun chain_run = RunBench(opt, qs, load_arrivals, 30);
+    opt.strategy = SharingStrategy::kUnshared;
+    const BenchRun unshared_run = RunBench(opt, qs, load_arrivals, 30);
     std::printf("%8d %16.0f %16.0f %15.2fx\n", n,
                 chain_run.comparisons_per_vsec,
                 unshared_run.comparisons_per_vsec,

@@ -104,24 +104,19 @@ int main(int argc, char** argv) {
     wspec.join_selectivity = s.s1;
     wspec.seed = 7;
     const Workload workload = GenerateWorkload(wspec);
-    BuildOptions options;
+    const std::vector<Tuple> arrivals = MergedArrivals(workload);
+    Engine::Options options;
     options.condition = workload.condition;
-
-    {
-      BuiltPlan built = BuildPullUpPlan(queries, options);
-      Report(&report, s, "Selection-PullUp", PullUpCost(p),
-             RunBench(&built, workload, s.w2));
-    }
-    {
-      BuiltPlan built = BuildPushDownPlan(queries, options);
-      Report(&report, s, "Selection-PushDown", PushDownCost(p),
-             RunBench(&built, workload, s.w2));
-    }
-    {
-      BuiltPlan built =
-          BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      Report(&report, s, "State-Slice-Chain", StateSliceCost(p),
-             RunBench(&built, workload, s.w2));
+    const struct {
+      SharingStrategy strategy;
+      CostEstimate predicted;
+    } arms[] = {{SharingStrategy::kPullUp, PullUpCost(p)},
+                {SharingStrategy::kPushDown, PushDownCost(p)},
+                {SharingStrategy::kStateSlice, StateSliceCost(p)}};
+    for (const auto& arm : arms) {
+      options.strategy = arm.strategy;
+      Report(&report, s, Name(arm.strategy), arm.predicted,
+             RunBench(options, queries, arrivals, s.w2));
     }
     std::printf("\n");
   }

@@ -12,6 +12,7 @@
 //
 //   $ ./bench/bench_fig17_memory [--quick] [--json BENCH_fig17_memory.json]
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -70,17 +71,19 @@ int main(int argc, char** argv) {
       wspec.join_selectivity = panel.s1;
       wspec.seed = 17000 + static_cast<uint64_t>(rate);
       const Workload workload = GenerateWorkload(wspec);
-      BuildOptions options;
+      const std::vector<Tuple> arrivals = MergedArrivals(workload);
+      Engine::Options options;
       options.condition = workload.condition;
 
       double mem[3] = {};
-      const Strategy order[] = {Strategy::kPullUp,
-                                Strategy::kStateSliceChain,
-                                Strategy::kPushDown};
+      const SharingStrategy order[] = {SharingStrategy::kPullUp,
+                                       SharingStrategy::kStateSlice,
+                                       SharingStrategy::kPushDown};
       for (int s = 0; s < 3; ++s) {
-        BuiltPlan built = BuildStrategy(order[s], queries, options);
+        options.strategy = order[s];
         // Warm-up: one full largest window (30 s).
-        const BenchRun run = RunBench(&built, workload, /*warmup_s=*/30);
+        const BenchRun run =
+            RunBench(options, queries, arrivals, /*warmup_s=*/30);
         mem[s] = run.avg_state_tuples;
         JsonObject& row = report.AddRow();
         Set(&row, "panel", JsonScalar::Str(panel.label));

@@ -13,11 +13,12 @@
 // per modeled CPU-second, with the modeled CPU performing a fixed number of
 // tuple comparisons per second (Section 3's cost metric). The wall-clock
 // rate of this C++ runtime is printed alongside for reference; see
-// EXPERIMENTS.md for the discussion of the two metrics.
+// bench/bench_util.h for the discussion of the two metrics.
 //
 //   $ ./bench/bench_fig18_service_rate [--quick]
 //         [--json BENCH_fig18_service_rate.json]
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -75,16 +76,17 @@ int main(int argc, char** argv) {
       wspec.join_selectivity = panel.s1;
       wspec.seed = 18000 + static_cast<uint64_t>(rate);
       const Workload workload = GenerateWorkload(wspec);
-      BuildOptions options;
+      const std::vector<Tuple> arrivals = MergedArrivals(workload);
+      Engine::Options options;
       options.condition = workload.condition;
 
       BenchRun runs[3];
-      const Strategy order[] = {Strategy::kPullUp,
-                                Strategy::kStateSliceChain,
-                                Strategy::kPushDown};
+      const SharingStrategy order[] = {SharingStrategy::kPullUp,
+                                       SharingStrategy::kStateSlice,
+                                       SharingStrategy::kPushDown};
       for (int s = 0; s < 3; ++s) {
-        BuiltPlan built = BuildStrategy(order[s], queries, options);
-        runs[s] = RunBench(&built, workload, /*warmup_s=*/30);
+        options.strategy = order[s];
+        runs[s] = RunBench(options, queries, arrivals, /*warmup_s=*/30);
         JsonObject& row = report.AddRow();
         Set(&row, "panel", JsonScalar::Str(panel.label));
         Set(&row, "s1", JsonScalar::Num(panel.s1));

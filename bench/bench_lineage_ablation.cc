@@ -63,14 +63,13 @@ int main(int argc, char** argv) {
     wspec.seed = 42;
     const Workload workload = GenerateWorkload(wspec);
 
+    const std::vector<Tuple> arrivals = MergedArrivals(workload);
     BenchRun runs[2];
     for (int mode = 0; mode < 2; ++mode) {
-      BuildOptions options;
+      Engine::Options options;
       options.condition = workload.condition;
       options.use_lineage = mode == 1;
-      BuiltPlan built =
-          BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      runs[mode] = RunBench(&built, workload, 20);
+      runs[mode] = RunBench(options, queries, arrivals, 20);
     }
     SLICE_CHECK_EQ(runs[0].stats.results_delivered,
                    runs[1].stats.results_delivered);

@@ -39,40 +39,6 @@ std::vector<ContinuousQuery> MakeQueries(int num_streams) {
   return queries;
 }
 
-BenchRun RunTreeBench(BuiltPlan* built, const MultiWorkload& workload,
-                      double warmup_s) {
-  std::vector<StreamSource> sources;
-  sources.reserve(workload.streams.size());
-  for (size_t s = 0; s < workload.streams.size(); ++s) {
-    sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-  }
-  std::vector<SourceBinding> bindings;
-  bindings.reserve(sources.size());
-  for (StreamSource& source : sources) {
-    bindings.push_back(SourceBinding{&source, built->entry});
-  }
-  ExecutorOptions exec_options;
-  exec_options.cost_snapshot_time = SecondsToTicks(warmup_s);
-  Executor exec(built->plan.get(), bindings, exec_options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
-  }
-  BenchRun run;
-  run.stats = exec.Run();
-  run.avg_state_tuples = run.stats.AvgStateTuples(SecondsToTicks(warmup_s));
-  run.comparisons_per_vsec = run.stats.ComparisonsPerVirtualSecond();
-  run.steady_comparisons_per_vsec =
-      run.stats.SteadyComparisonsPerVirtualSecond();
-  const double cpu_seconds =
-      static_cast<double>(run.stats.cost.Total()) / kComparisonsPerSec;
-  run.service_rate_modeled =
-      cpu_seconds > 0
-          ? static_cast<double>(run.stats.results_delivered) / cpu_seconds
-          : 0.0;
-  run.service_rate_wall = run.stats.ServiceRate();
-  return run;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,24 +71,19 @@ int main(int argc, char** argv) {
     const MultiWorkload workload =
         GenerateMultiWorkload(wspec, num_streams);
     const std::vector<ContinuousQuery> queries = MakeQueries(num_streams);
-    BuildOptions options;
+    const std::vector<Tuple> arrivals = MergedArrivals(workload);
+    Engine::Options options;
     options.condition = workload.condition;
 
     // Shared: one tree for all queries.
-    BuiltPlan shared_plan =
-        BuildStateSlicePlan(queries, BuildMemOptTree(queries), options);
     const BenchRun shared_run =
-        RunTreeBench(&shared_plan, workload, warmup_s);
+        RunBench(options, queries, arrivals, warmup_s);
 
     // Unshared: one single-query tree per query, each fed the full input.
     double unshared_wall = 0, unshared_cmp_vsec = 0, unshared_mem = 0;
     double unshared_tuples = 0;
     for (const ContinuousQuery& q : queries) {
-      std::vector<ContinuousQuery> solo = {q};
-      solo[0].id = 0;
-      BuiltPlan plan =
-          BuildStateSlicePlan(solo, BuildMemOptTree(solo), options);
-      const BenchRun run = RunTreeBench(&plan, workload, warmup_s);
+      const BenchRun run = RunBench(options, {q}, arrivals, warmup_s);
       unshared_wall += run.stats.wall_seconds;
       unshared_cmp_vsec += run.comparisons_per_vsec;
       unshared_mem += run.avg_state_tuples;

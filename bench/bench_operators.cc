@@ -153,18 +153,16 @@ void BM_EndToEndStateSlicePlan(benchmark::State& state) {
   wspec.duration_s = 10;
   wspec.join_selectivity = 0.1;
   const Workload workload = GenerateWorkload(wspec);
+  const std::vector<Tuple> arrivals = MergedArrivals(workload);
   for (auto _ : state) {
     state.PauseTiming();
     BuildOptions options;
     options.condition = workload.condition;
     BuiltPlan built =
         BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-    StreamSource sa("A", workload.stream_a);
-    StreamSource sb("B", workload.stream_b);
-    Executor exec(built.plan.get(),
-                  {{&sa, built.entry}, {&sb, built.entry}});
     state.ResumeTiming();
-    benchmark::DoNotOptimize(exec.Run().events_processed);
+    benchmark::DoNotOptimize(
+        ReplayArrivals(built.plan.get(), built.entry, arrivals));
   }
   state.SetItemsProcessed(
       state.iterations() *

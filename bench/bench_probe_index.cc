@@ -9,7 +9,8 @@
 //
 // Part 2 measures the end-to-end effect: identical equi-join workloads run
 // through a shared binary state-slice chain and through a 3-way tree, with
-// BuildOptions::use_key_index on vs off. Results are byte-identical (the
+// BuildOptions::use_key_index on vs off, replayed through the built plans
+// (RunBuiltPlan: the Engine always indexes). Results are byte-identical (the
 // equivalence suite pins that); only the wall clock moves. The paper-unit
 // comparison counters are also reported and must match across arms.
 //
@@ -78,32 +79,6 @@ MultiWorkload EquiMultiWorkload(const WorkloadSpec& spec, int num_streams,
   MultiWorkload w = GenerateMultiWorkload(spec, num_streams);
   RekeyForEquiJoin(&w, domain, spec.seed * 2 + 1);
   return w;
-}
-
-BenchRun RunTreeBench(BuiltPlan* built, const MultiWorkload& workload,
-                      double warmup_s) {
-  std::vector<StreamSource> sources;
-  sources.reserve(workload.streams.size());
-  for (size_t s = 0; s < workload.streams.size(); ++s) {
-    sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-  }
-  std::vector<SourceBinding> bindings;
-  bindings.reserve(sources.size());
-  for (StreamSource& source : sources) {
-    bindings.push_back(SourceBinding{&source, built->entry});
-  }
-  ExecutorOptions exec_options;
-  exec_options.cost_snapshot_time = SecondsToTicks(warmup_s);
-  Executor exec(built->plan.get(), bindings, exec_options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
-  }
-  BenchRun run;
-  run.stats = exec.Run();
-  run.avg_state_tuples = run.stats.AvgStateTuples(SecondsToTicks(warmup_s));
-  run.comparisons_per_vsec = run.stats.ComparisonsPerVirtualSecond();
-  run.service_rate_wall = run.stats.ServiceRate();
-  return run;
 }
 
 // The CI gate medians throughput_tuples_per_wall_sec across a report's
@@ -185,7 +160,6 @@ int main(int argc, char** argv) {
 
   // ---------------- Part 2a: binary chain, end to end -------------------
   const double duration_s = args.quick ? 40 : 90;
-  const double warmup_s = 10;
   const double rate = args.quick ? 60 : 100;
   report.SetConfig("duration_s", JsonScalar::Num(duration_s));
   report.SetConfig("rate", JsonScalar::Num(rate));
@@ -208,6 +182,7 @@ int main(int argc, char** argv) {
     wspec.seed = 20060912 + static_cast<uint64_t>(domain);
     const Workload workload = EquiWorkload(wspec, domain);
 
+    const std::vector<Tuple> arrivals = MergedArrivals(workload);
     double tps[2] = {0, 0};
     uint64_t logical[2] = {0, 0};
     for (const bool use_index : {false, true}) {
@@ -216,7 +191,7 @@ int main(int argc, char** argv) {
       options.use_key_index = use_index;
       BuiltPlan built =
           BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      const BenchRun run = RunBench(&built, workload, warmup_s);
+      const BenchRun run = RunBuiltPlan(&built, arrivals);
       const double tuples = static_cast<double>(run.stats.input_tuples);
       tps[use_index ? 1 : 0] =
           run.stats.wall_seconds > 0 ? tuples / run.stats.wall_seconds : 0;
@@ -267,6 +242,7 @@ int main(int argc, char** argv) {
     wspec.seed = 7 + static_cast<uint64_t>(domain);
     const MultiWorkload workload = EquiMultiWorkload(wspec, 3, domain);
 
+    const std::vector<Tuple> arrivals = MergedArrivals(workload);
     double tps[2] = {0, 0};
     for (const bool use_index : {false, true}) {
       BuildOptions options;
@@ -274,7 +250,7 @@ int main(int argc, char** argv) {
       options.use_key_index = use_index;
       BuiltPlan built = BuildStateSlicePlan(
           tree_queries, BuildMemOptTree(tree_queries), options);
-      const BenchRun run = RunTreeBench(&built, workload, warmup_s);
+      const BenchRun run = RunBuiltPlan(&built, arrivals);
       const double tuples = static_cast<double>(run.stats.input_tuples);
       tps[use_index ? 1 : 0] =
           run.stats.wall_seconds > 0 ? tuples / run.stats.wall_seconds : 0;

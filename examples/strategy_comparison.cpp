@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "src/stateslice.h"
 
@@ -18,14 +19,15 @@ struct Row {
   RunStats stats;
 };
 
-Row RunStrategy(const std::string& name, BuiltPlan built,
-                const Workload& workload) {
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  Executor exec(built.plan.get(),
-                {{&source_a, built.entry}, {&source_b, built.entry}});
-  for (auto* sink : built.sinks) exec.AddSink(sink);
-  return Row{name, exec.Run()};
+// Serves the queries with one Engine over the merged arrivals.
+Row RunStrategy(const std::string& name, const Engine::Options& options,
+                const std::vector<ContinuousQuery>& queries,
+                const std::vector<Tuple>& arrivals) {
+  Engine engine(options);
+  for (const ContinuousQuery& q : queries) engine.RegisterQuery(q);
+  for (const Tuple& t : arrivals) engine.Push(t.side, t);
+  engine.Finish();
+  return Row{name, engine.Snapshot()};
 }
 
 }  // namespace
@@ -48,28 +50,33 @@ int main(int argc, char** argv) {
   wspec.join_selectivity = 0.1;
   const Workload workload = GenerateWorkload(wspec);
 
-  BuildOptions options;
+  const std::vector<Tuple> arrivals = MergedArrivals(workload);
+  Engine::Options options;
   options.condition = workload.condition;
-  ChainCostParams params;
-  params.lambda_a = params.lambda_b = rate;
-  params.s1 = 0.1;
-
+  options.cost_params.lambda_a = options.cost_params.lambda_b = rate;
+  options.cost_params.s1 = 0.1;
+  const struct {
+    const char* name;
+    SharingStrategy strategy;
+    ChainObjective objective;
+  } arms[] = {
+      {"unshared (no sharing)", SharingStrategy::kUnshared,
+       ChainObjective::kMemOpt},
+      {"selection pull-up (Fig. 3)", SharingStrategy::kPullUp,
+       ChainObjective::kMemOpt},
+      {"selection push-down (Fig. 4)", SharingStrategy::kPushDown,
+       ChainObjective::kMemOpt},
+      {"state-slice Mem-Opt (Fig. 12)", SharingStrategy::kStateSlice,
+       ChainObjective::kMemOpt},
+      {"state-slice CPU-Opt (Fig. 13)", SharingStrategy::kStateSlice,
+       ChainObjective::kCpuOpt},
+  };
   std::vector<Row> rows;
-  rows.push_back(RunStrategy("unshared (no sharing)",
-                             BuildUnsharedPlans(queries, options), workload));
-  rows.push_back(RunStrategy("selection pull-up (Fig. 3)",
-                             BuildPullUpPlan(queries, options), workload));
-  rows.push_back(RunStrategy("selection push-down (Fig. 4)",
-                             BuildPushDownPlan(queries, options), workload));
-  rows.push_back(RunStrategy(
-      "state-slice Mem-Opt (Fig. 12)",
-      BuildStateSlicePlan(queries, BuildMemOptChain(queries), options),
-      workload));
-  rows.push_back(RunStrategy(
-      "state-slice CPU-Opt (Fig. 13)",
-      BuildStateSlicePlan(queries, BuildCpuOptChain(queries, params),
-                          options),
-      workload));
+  for (const auto& arm : arms) {
+    options.strategy = arm.strategy;
+    options.objective = arm.objective;
+    rows.push_back(RunStrategy(arm.name, options, queries, arrivals));
+  }
 
   const TimePoint warmup = SecondsToTicks(35);
   std::printf("\n%-32s %12s %14s %14s %12s\n", "strategy", "avg state",

@@ -1,11 +1,13 @@
 // Engine: the long-lived streaming facade over the stateslice library.
 //
-// The low-level layer (chain builders + shared-plan builders + Executor) is
-// batch-shaped: callers pre-materialize tuple vectors, wire sources and
-// sinks by hand, and drive ChainMigrator between feed steps. The paper's
-// setting, however, is a *continuously running* multi-query system where
-// subscriptions enter and leave while the shared sliced chain keeps serving
-// results (Section 5.3, Section 7). Engine packages that lifecycle:
+// The low-level layer (chain builders + shared-plan builders +
+// ReplayArrivals) is batch-shaped: callers build one plan for a fixed query
+// set, replay pre-materialized arrivals through it, and drive ChainMigrator
+// by hand. The paper's setting, however, is a *continuously running*
+// multi-query system where subscriptions enter and leave while the shared
+// sliced chain keeps serving results (Section 5.3, Section 7). Engine
+// packages that lifecycle, and is also the driver of the paper's figure
+// reproductions (bench/bench_util.h):
 //
 //   Engine engine({.strategy = SharingStrategy::kStateSlice});
 //   QueryHandle q1 = engine.RegisterQuery(
@@ -185,8 +187,9 @@ class Engine {
     // Virtual-time spacing of memory samples (deterministic mode).
     Duration sample_interval = kTicksPerSecond;
     // Deterministic mode: process each pushed tuple to quiescence (the
-    // executor's feed_batch=1 discipline). When false, Push only enqueues
-    // and the caller drives processing with Poll()/Drain().
+    // tuple-at-a-time discipline of CAPE's round-robin scheduler, Section
+    // 7.1, that the paper's cost analysis assumes). When false, Push only
+    // enqueues and the caller drives processing with Poll()/Drain().
     bool auto_drain = true;
     // Run length: max events a scheduler visit drains from one queue into
     // an Operator::OnRun call. 0 keeps the per-mode defaults (8 for the

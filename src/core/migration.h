@@ -16,8 +16,8 @@
 //
 // On top of the primitives, AddQuery/RemoveQuery implement query churn for
 // chains built without selections (the setting in which Section 5.3
-// presents migration). The ChainMigrator operates between executor feed
-// steps, when the plan is quiescent.
+// presents migration). The ChainMigrator operates between arrivals, when
+// the plan is quiescent.
 #ifndef STATESLICE_CORE_MIGRATION_H_
 #define STATESLICE_CORE_MIGRATION_H_
 

@@ -3,8 +3,9 @@
 // The paper measures (Section 7.1):
 //  - state memory as the number of tuples held in join states, and
 //  - CPU via the average service rate (total throughput / running time).
-// The Executor samples state memory periodically (the monitor thread of
-// CAPE); RunStats aggregates everything a bench needs to print one row.
+// The Engine samples state memory every Options::sample_interval of
+// virtual time (the monitor thread of CAPE); RunStats aggregates everything
+// a bench needs to print one row.
 //
 // Threading: MemorySample and RunStats are plain value snapshots with no
 // synchronization of their own. They are produced only at quiescent points
@@ -32,14 +33,14 @@ struct MemorySample {
   size_t queue_events = 0;  // sum of queue occupancies
 };
 
-// Aggregated outcome of one Executor run or Engine session.
+// Aggregated outcome of one Engine session (Engine::Snapshot).
 struct RunStats {
   // --- execution --------------------------------------------------------
   ExecutionMode mode = ExecutionMode::kDeterministic;
   int worker_threads = 1;  // shard workers (kSharded); 1 if deterministic
 
   // --- volume -----------------------------------------------------------
-  uint64_t input_tuples = 0;    // tuples fed from all sources
+  uint64_t input_tuples = 0;    // tuples ingested from all streams
   uint64_t events_processed = 0;  // scheduler event count (incl. internal)
   uint64_t results_delivered = 0;  // JoinResults received by all sinks
   // Malformed or unreadable arrivals bounced at ingestion (NaN values,
@@ -69,11 +70,6 @@ struct RunStats {
 
   // --- cpu --------------------------------------------------------------
   CostCounters cost;  // comparison counts by category (Eqs. 1-3 units)
-  // Snapshot of `cost` taken when virtual time first crossed
-  // ExecutorOptions::cost_snapshot_time (steady-state accounting); zeroed
-  // when no snapshot was requested.
-  CostCounters cost_at_snapshot;
-  TimePoint cost_snapshot_time = 0;
 
   // Average state-memory tuples over samples taken at or after `from`
   // (warm-up exclusion). Returns 0 if no samples qualify.
@@ -91,10 +87,6 @@ struct RunStats {
 
   // Comparisons per virtual second — the measured analogue of Cp.
   double ComparisonsPerVirtualSecond() const;
-
-  // Comparisons per virtual second after the cost snapshot (steady state);
-  // falls back to the full-run rate when no snapshot was taken.
-  double SteadyComparisonsPerVirtualSecond() const;
 
   std::string DebugString() const;
 };

@@ -91,7 +91,7 @@ void QueryPlan::FinishAll() {
   // scheduled ones do.
   ArenaScope arena_scope(&arena_);
   // Finish in topological order; a Finish() may emit flush events that the
-  // executor drains between calls, but calling in topo order guarantees a
+  // caller drains between calls, but calling in topo order guarantees a
   // single pass suffices when drains happen outside.
   for (Operator* op : TopologicalOrder()) op->Finish();
 }

@@ -56,4 +56,16 @@ uint64_t RoundRobinScheduler::RunUntilQuiescent() {
   return processed;
 }
 
+uint64_t ReplayArrivals(QueryPlan* plan, EventQueue* entry,
+                        std::span<const Tuple> arrivals) {
+  RoundRobinScheduler scheduler(plan);
+  for (const Tuple& tuple : arrivals) {
+    entry->Push(tuple);
+    scheduler.RunUntilQuiescent();
+  }
+  plan->FinishAll();
+  scheduler.RunUntilQuiescent();
+  return scheduler.total_processed();
+}
+
 }  // namespace stateslice

@@ -17,8 +17,11 @@
 #define STATESLICE_RUNTIME_SCHEDULER_H_
 
 #include <cstdint>
+#include <span>
 
+#include "src/common/tuple.h"
 #include "src/runtime/plan.h"
+#include "src/runtime/queue.h"
 
 namespace stateslice {
 
@@ -48,6 +51,16 @@ class RoundRobinScheduler {
   // clear() keeps its capacity so steady state never reallocates).
   EventRun run_;
 };
+
+// Feeds `arrivals` (global timestamp order) into `entry` one tuple at a
+// time, running `plan` to quiescence after each (the discipline of the
+// Engine's auto_drain), then flushes end-of-stream punctuations and drains.
+// Returns the events processed. For builder-level tests and benches that
+// inspect a BuiltPlan directly (arbitrary partitions, slice states,
+// use_key_index=false); they read plan->cost_counters() and their sinks.
+// Sessions go through Engine (src/api/engine.h).
+uint64_t ReplayArrivals(QueryPlan* plan, EventQueue* entry,
+                        std::span<const Tuple> arrivals);
 
 }  // namespace stateslice
 

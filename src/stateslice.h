@@ -24,19 +24,18 @@
 //       engine.Finish();
 //       RunStats stats = engine.Snapshot();
 //
-//  2. Low-level builders (src/core, src/runtime) — the batch-shaped
-//     layer the Engine is made of, kept public for experiments that wire
-//     plans by hand: BuildMemOptChain/BuildCpuOptChain + the
-//     Build*Plan() strategy builders + StreamSource/Executor/sinks, and
-//     ChainMigrator for manual Section 5.3 surgery.
+//  2. Low-level builders (src/core, src/runtime) — the layer the Engine
+//     is made of, kept public for experiments that need what the Engine
+//     deliberately does not expose (hand-picked partitions, slice-state
+//     inspection, BuildOptions::use_key_index): BuildMemOptChain/
+//     BuildCpuOptChain + the Build*Plan() strategy builders + sinks,
+//     ReplayArrivals to drive a built plan, and ChainMigrator for manual
+//     Section 5.3 surgery.
 //
 //       ChainPlan chain = BuildMemOptChain(queries);
 //       BuiltPlan built = BuildStateSlicePlan(queries, chain, {...});
-//       StreamSource a("A", w.stream_a), b("B", w.stream_b);
-//       Executor exec(built.plan.get(),
-//                     {{&a, built.entry}, {&b, built.entry}});
-//       for (auto* sink : built.sinks) exec.AddSink(sink);
-//       RunStats stats = exec.Run();
+//       ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(w));
+//       uint64_t comparisons = built.plan->cost_counters().Total();
 #ifndef STATESLICE_STATESLICE_H_
 #define STATESLICE_STATESLICE_H_
 
@@ -83,7 +82,6 @@
 #include "src/query/query.h"
 #include "src/query/workload.h"
 #include "src/runtime/execution_mode.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/operator.h"
 #include "src/runtime/plan.h"
@@ -91,6 +89,5 @@
 #include "src/runtime/scheduler.h"
 #include "src/runtime/spsc_queue.h"
 #include "src/runtime/sink.h"
-#include "src/runtime/source.h"
 
 #endif  // STATESLICE_STATESLICE_H_

@@ -24,6 +24,7 @@ namespace stateslice {
 namespace {
 
 using ::stateslice::testing::OracleJoin;
+using ::stateslice::testing::RunEngine;
 using ::stateslice::testing::RunPlan;
 
 struct EquivalenceCase {
@@ -168,17 +169,15 @@ TEST(MemOptMemoryTest, ChainStateEqualsSingleLargestJoin) {
   spec.seed = 9;
   const Workload workload = GenerateWorkload(spec);
 
-  BuildOptions options;
-  options.condition = workload.condition;
-  BuiltPlan sliced =
-      BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  const RunStats sliced_stats = RunPlan(&sliced, workload);
-
+  const auto run = [&](SharingStrategy strategy,
+                       const std::vector<ContinuousQuery>& qs) {
+    Engine::Options options;
+    options.strategy = strategy;
+    return RunEngine(options, qs, workload);
+  };
+  const RunStats sliced_stats = run(SharingStrategy::kStateSlice, queries);
   // Reference: one regular join with the largest window only.
-  std::vector<ContinuousQuery> big = {queries[2]};
-  big[0].id = 0;
-  BuiltPlan pullup = BuildPullUpPlan(big, options);
-  const RunStats pullup_stats = RunPlan(&pullup, workload);
+  const RunStats pullup_stats = run(SharingStrategy::kPullUp, {queries[2]});
 
   ASSERT_EQ(sliced_stats.memory_samples.size(),
             pullup_stats.memory_samples.size());
@@ -210,11 +209,7 @@ TEST(SliceDisjointnessTest, StatesArePairwiseDisjoint) {
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
 
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  Executor exec(built.plan.get(),
-                {{&source_a, built.entry}, {&source_b, built.entry}});
-  exec.Run();
+  RunPlan(&built, workload);
 
   std::set<std::string> seen;
   for (const BuiltSlice& slice : built.slices) {

@@ -626,6 +626,42 @@ TEST(EngineTest, SnapshotOfLiveSessionCarriesPhysicalCounters) {
   EXPECT_EQ(after.Total(), live.Total());
 }
 
+// Deterministic memory sampling: one sample per sample_interval boundary
+// crossed by an arrival (taken before that arrival is processed), plus one
+// at the last arrival's timestamp when the plan is torn down.
+TEST(EngineTest, SamplesOncePerIntervalCrossedPlusTeardown) {
+  Engine::Options options;
+  options.condition = JoinCondition::EquiKey();
+  Engine engine(options);
+  ASSERT_TRUE(engine.RegisterQuery(PlainQuery(1, "Q1")).valid());
+  for (const Tuple& t : {A(0, 0.5), testing::B(0, 0.7), A(1, 3.2),
+                         testing::B(1, 3.9)}) {
+    engine.Push(t.side, t);
+  }
+  engine.Finish();
+  const RunStats stats = engine.Snapshot();
+  const std::vector<TimePoint> want = {0, SecondsToTicks(1.0),
+                                       SecondsToTicks(2.0),
+                                       SecondsToTicks(3.0),
+                                       SecondsToTicks(3.9)};
+  ASSERT_EQ(stats.memory_samples.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(stats.memory_samples[i].time, want[i]) << i;
+  }
+  EXPECT_EQ(stats.memory_samples[0].state_tuples, 0u);  // before 0.5 s
+  EXPECT_EQ(stats.memory_samples[1].state_tuples, 2u);  // before 3.2 s
+}
+
+TEST(RunStatsTest, AvgAndMaxStateHelpers) {
+  RunStats stats;
+  stats.memory_samples = {{0, 10, 0}, {kTicksPerSecond, 20, 0},
+                          {2 * kTicksPerSecond, 30, 0}};
+  EXPECT_DOUBLE_EQ(stats.AvgStateTuples(), 20.0);
+  EXPECT_DOUBLE_EQ(stats.AvgStateTuples(kTicksPerSecond), 25.0);
+  EXPECT_EQ(stats.MaxStateTuples(), 30u);
+  EXPECT_DOUBLE_EQ(RunStats{}.AvgStateTuples(), 0.0);
+}
+
 TEST(EngineTest, SnapshotDebugStringNamesTheMode) {
   Workload workload = SmallWorkload(73, 2);
   RekeyForEquiJoin(&workload, 16, 73);

@@ -2,7 +2,7 @@
 // must produce exactly the brute-force oracle's result multisets — the
 // naive nested windowed join over the full history — for every query of a
 // mixed 2/3/4-way workload, in deterministic and sharded modes, through
-// both the low-level builder/Executor path and the Engine facade.
+// both the low-level builder path (ReplayArrivals) and the Engine facade.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -119,8 +119,8 @@ TEST(MultiwayEquivalence, AcceptanceWorkloadSharded) {
   CheckEngineAgainstOracle(config, ExecutionMode::kSharded, 25.0);
 }
 
-// Low-level path: BuildStateSlicePlan over random per-level partitions,
-// driven by the Executor (N sources merged into the entry queue).
+// Low-level path: BuildStateSlicePlan over random per-level partitions
+// (which the Engine never builds), replayed with ReplayArrivals.
 TEST(MultiwayEquivalence, BuilderFuzzAgainstOracle) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const int max_streams = 3 + static_cast<int>(seed % 2);
@@ -133,18 +133,7 @@ TEST(MultiwayEquivalence, BuilderFuzzAgainstOracle) {
     BuiltPlan built =
         BuildStateSlicePlan(config.queries, config.tree, options);
 
-    std::vector<StreamSource> sources;
-    sources.reserve(workload.streams.size());
-    for (size_t s = 0; s < workload.streams.size(); ++s) {
-      sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-    }
-    std::vector<SourceBinding> bindings;
-    for (StreamSource& source : sources) {
-      bindings.push_back(SourceBinding{&source, built.entry});
-    }
-    Executor exec(built.plan.get(), bindings);
-    for (CountingSink* sink : built.sinks) exec.AddSink(sink);
-    exec.Run();
+    ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(workload));
 
     for (const ContinuousQuery& q : config.queries) {
       const std::map<std::string, int> expected = MultiwayOracle(

@@ -173,12 +173,12 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
 
   BuiltPlan indexed = BuildStateSlicePlan(config.queries, config.chain,
                                           options);
-  const RunStats indexed_stats = RunPlan(&indexed, workload);
+  RunPlan(&indexed, workload);
 
   options.use_key_index = false;
   BuiltPlan nested = BuildStateSlicePlan(config.queries, config.chain,
                                          options);
-  const RunStats nested_stats = RunPlan(&nested, workload);
+  RunPlan(&nested, workload);
 
   // Equi seeds also run the indexed probes on shard worker threads (key
   // partitioning needs the equi-key predicate).
@@ -201,12 +201,14 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
   }
 
   // The paper-unit cost counters must not notice the index at all.
+  const CostCounters& indexed_cost = indexed.plan->cost_counters();
+  const CostCounters& nested_cost = nested.plan->cost_counters();
   for (const CostCategory cat :
        {CostCategory::kProbe, CostCategory::kPurge, CostCategory::kUnion}) {
-    EXPECT_EQ(indexed_stats.cost.Get(cat), nested_stats.cost.Get(cat))
+    EXPECT_EQ(indexed_cost.Get(cat), nested_cost.Get(cat))
         << CostCounters::Name(cat);
   }
-  EXPECT_EQ(indexed_stats.cost.Total(), nested_stats.cost.Total());
+  EXPECT_EQ(indexed_cost.Total(), nested_cost.Total());
 
   for (const ContinuousQuery& q : config.queries) {
     const auto expected = OracleJoin(workload.stream_a, workload.stream_b,
@@ -402,18 +404,7 @@ TEST(MultiwayIndexTest, ThreeWayEquiTreeMatchesNestedLoopAndOracle) {
       tree.levels.push_back(std::move(plan));
     }
     BuiltPlan built = BuildStateSlicePlan(queries, tree, options);
-    std::vector<StreamSource> sources;
-    sources.reserve(workload.streams.size());
-    for (size_t s = 0; s < workload.streams.size(); ++s) {
-      sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-    }
-    std::vector<SourceBinding> bindings;
-    for (StreamSource& source : sources) {
-      bindings.push_back(SourceBinding{&source, built.entry});
-    }
-    Executor exec(built.plan.get(), bindings);
-    for (CountingSink* sink : built.sinks) exec.AddSink(sink);
-    exec.Run();
+    ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(workload));
     return built;
   };
 

@@ -14,6 +14,7 @@ namespace stateslice {
 namespace {
 
 using ::stateslice::testing::OracleJoin;
+using ::stateslice::testing::RunEngine;
 using ::stateslice::testing::RunPlan;
 
 struct StrategyCase {
@@ -177,17 +178,15 @@ TEST(StrategyCostTest, StateSliceUsesNoMoreMemoryThanAlternatives) {
   spec.rate_a = spec.rate_b = 40;
   spec.duration_s = 15;
   const Workload workload = GenerateWorkload(spec);
-  BuildOptions options;
-  options.condition = workload.condition;
-
-  BuiltPlan pullup = BuildPullUpPlan(queries, options);
-  BuiltPlan pushdown = BuildPushDownPlan(queries, options);
-  BuiltPlan sliced =
-      BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  const double warmup = SecondsToTicks(6.0);
-  const double m1 = RunPlan(&pullup, workload).AvgStateTuples(warmup);
-  const double m2 = RunPlan(&pushdown, workload).AvgStateTuples(warmup);
-  const double m3 = RunPlan(&sliced, workload).AvgStateTuples(warmup);
+  const auto avg_state = [&](SharingStrategy strategy) {
+    Engine::Options options;
+    options.strategy = strategy;
+    return RunEngine(options, queries, workload)
+        .AvgStateTuples(SecondsToTicks(6.0));
+  };
+  const double m1 = avg_state(SharingStrategy::kPullUp);
+  const double m2 = avg_state(SharingStrategy::kPushDown);
+  const double m3 = avg_state(SharingStrategy::kStateSlice);
   EXPECT_LE(m3, m1 + 1e-9);
   EXPECT_LE(m3, m2 + 1e-9);
 }

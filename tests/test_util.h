@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "src/stateslice.h"
 
 namespace stateslice::testing {
@@ -111,19 +113,26 @@ inline std::map<std::string, int> OracleJoin(
   return MultiwayOracle({&stream_a, &stream_b}, cond, q);
 }
 
-// Runs a built plan over the workload and returns the stats. Sinks are
-// registered automatically.
-inline RunStats RunPlan(BuiltPlan* built, const Workload& workload,
-                        ExecutorOptions options = {}) {
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  Executor exec(built->plan.get(),
-                {{&source_a, built->entry}, {&source_b, built->entry}},
-                options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
+// Serves `queries` with an Engine over the workload's merged arrivals and
+// returns the finished session's stats (options.condition is taken from
+// the workload).
+inline RunStats RunEngine(Engine::Options options,
+                          const std::vector<ContinuousQuery>& queries,
+                          const Workload& workload) {
+  options.condition = workload.condition;
+  Engine engine(options);
+  for (const ContinuousQuery& q : queries) {
+    EXPECT_TRUE(engine.RegisterQuery(q).valid()) << engine.last_error();
   }
-  return exec.Run();
+  for (const Tuple& t : MergedArrivals(workload)) engine.Push(t.side, t);
+  engine.Finish();
+  return engine.Snapshot();
+}
+
+// Replays the workload through a built plan (ReplayArrivals); callers read
+// the plan's sinks and cost_counters() afterwards.
+inline void RunPlan(BuiltPlan* built, const Workload& workload) {
+  ReplayArrivals(built->plan.get(), built->entry, MergedArrivals(workload));
 }
 
 // A random query workload + chain partition drawn from a seed. Shared by

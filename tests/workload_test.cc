@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace stateslice {
 namespace {
@@ -98,6 +100,41 @@ TEST(GenerateWorkloadTest, FixedRateModeIsEvenlySpaced) {
   for (size_t i = 2; i < w.stream_a.size(); ++i) {
     EXPECT_EQ(w.stream_a[i].timestamp - w.stream_a[i - 1].timestamp, gap);
   }
+}
+
+// Global order for replay: equal timestamps keep stream A's tuples before
+// stream B's (and, N-way, lower stream ids first), each stream in its own
+// order. Every driver (Engine pushes, ReplayArrivals) replays this order,
+// so the paper figures depend on it.
+TEST(MergedArrivalsTest, TiesPutStreamABeforeB) {
+  const auto at = [](StreamId side, uint32_t seq, TimePoint t) {
+    Tuple tuple;
+    tuple.side = side;
+    tuple.seq = seq;
+    tuple.timestamp = t;
+    return tuple;
+  };
+  Workload w;
+  w.stream_a = {at(StreamSide::kA, 0, 5), at(StreamSide::kA, 1, 7),
+                at(StreamSide::kA, 2, 7)};
+  w.stream_b = {at(StreamSide::kB, 0, 5), at(StreamSide::kB, 1, 6),
+                at(StreamSide::kB, 2, 7)};
+  const std::vector<Tuple> merged = MergedArrivals(w);
+  const std::vector<std::pair<StreamId, uint32_t>> want = {
+      {StreamSide::kA, 0}, {StreamSide::kB, 0}, {StreamSide::kB, 1},
+      {StreamSide::kA, 1}, {StreamSide::kA, 2}, {StreamSide::kB, 2}};
+  ASSERT_EQ(merged.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(merged[i].side, want[i].first) << i;
+    EXPECT_EQ(merged[i].seq, want[i].second) << i;
+  }
+
+  MultiWorkload mw;
+  mw.streams = {{at(2, 0, 3)}, {at(2, 0, 3)}, {at(2, 0, 3)}};
+  for (StreamId s = 0; s < 3; ++s) mw.streams[s][0].side = s;
+  const std::vector<Tuple> multi = MergedArrivals(mw);
+  ASSERT_EQ(multi.size(), 3u);
+  for (StreamId s = 0; s < 3; ++s) EXPECT_EQ(multi[s].side, s);
 }
 
 TEST(Section72WindowsTest, MatchesTable3) {
