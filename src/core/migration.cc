@@ -13,9 +13,6 @@
 namespace stateslice {
 namespace {
 
-// Fresh operator names for migrated plan elements.
-int g_migration_serial = 0;
-
 // Index of `value` in `boundaries`, or -1.
 int BoundaryIndexOf(const std::vector<int64_t>& boundaries, int64_t value) {
   for (size_t k = 0; k < boundaries.size(); ++k) {
@@ -115,7 +112,7 @@ int ChainMigrator::SplitSlice(int slice_index, Duration boundary) {
   sopt.use_key_index = built_->options.use_key_index;
   sopt.punctuate_results = true;
   const std::string name =
-      "slice.split" + std::to_string(g_migration_serial++);
+      "slice.split" + std::to_string(built_->migration_serial++);
   auto* right = plan->InsertOperatorWhileRunning(
       std::make_unique<SlicedWindowJoin>(
           name, SliceRange{old_range.kind, boundary, old_range.end}, sopt));
@@ -145,7 +142,7 @@ int ChainMigrator::SplitSlice(int slice_index, Duration boundary) {
       // fresh-start semantics) or its sinks.
       merge = plan->InsertOperatorWhileRunning(std::make_unique<UnionMerge>(
           built_->queries[qid].name + ".union.m" +
-              std::to_string(g_migration_serial++),
+              std::to_string(built_->migration_serial++),
           /*input_count=*/1));
       if (built_->result_gates[qid] != nullptr) {
         // slice -> gate becomes union -> gate; the old slice edge's queue
@@ -233,7 +230,7 @@ int ChainMigrator::MergeSlices(int slice_index) {
   sopt.use_key_index = built_->options.use_key_index;
   sopt.punctuate_results = true;
   const std::string name =
-      "slice.merged" + std::to_string(g_migration_serial++);
+      "slice.merged" + std::to_string(built_->migration_serial++);
   auto* merged = plan->InsertOperatorWhileRunning(
       std::make_unique<SlicedWindowJoin>(
           name, SliceRange{lr.kind, lr.start, rr.end}, sopt));
@@ -282,7 +279,7 @@ int ChainMigrator::MergeSlices(int slice_index) {
   }
   const int all_port = static_cast<int>(branches.size());
   auto* router = plan->InsertOperatorWhileRunning(std::make_unique<Router>(
-      "router.m" + std::to_string(g_migration_serial++), branches,
+      "router.m" + std::to_string(built_->migration_serial++), branches,
       all_port));
   plan->ConnectWhileRunning(merged, SlicedWindowJoin::kResultPort, router,
                             0);

@@ -113,6 +113,9 @@ struct BuiltPlan {
   // The queries the plan was built for (by value; migration updates it).
   std::vector<ContinuousQuery> queries;
   BuildOptions options;
+  // Names the operators ChainMigrator inserts. Per plan, so a migrated
+  // plan's names (and snapshot bytes) do not depend on other plans.
+  int migration_serial = 0;
 };
 
 // One join per query behind a fanout; the no-sharing baseline. Binary

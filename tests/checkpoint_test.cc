@@ -914,9 +914,8 @@ TEST(CheckpointWireTest, GoldenV3Snapshots) {
 
   // A churned chain: a mid-stream registration that migrates in place
   // (fresh-start gate) and an in-place removal (retired entry). Both land
-  // on existing slice boundaries: a split or merge would name its new
-  // slice from a process-wide migration serial, which depends on what ran
-  // earlier in the process.
+  // on existing slice boundaries, so the pinned bytes carry no migrated
+  // operator names.
   Engine churned(BaseOptions(workload));
   const QueryHandle h1 = churned.RegisterQuery(PlainQuery(2, "Q1"));
   ASSERT_TRUE(churned.RegisterQuery(PlainQuery(6, "Q2")).valid());
@@ -941,6 +940,31 @@ TEST(CheckpointWireTest, GoldenV3Snapshots) {
   EXPECT_EQ(Pin(SnapshotOf(pull_up, filtered, merged)),
             std::make_pair(size_t{43978}, uint32_t{3919761165}))
       << "pull-up plan";
+}
+
+// Operators a migration inserts are named from their plan's own serial,
+// so two identical engines that split a slice write identical snapshots,
+// whatever migrated earlier in the process.
+TEST(CheckpointWireTest, IdenticalSplitEnginesCheckpointIdentically) {
+  const Workload workload = SmallWorkload(83, 8);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  const size_t mid = StrictIncreaseAt(merged, merged.size() / 2);
+  const auto split_snapshot = [&] {
+    Engine engine(BaseOptions(workload));
+    EXPECT_TRUE(engine.RegisterQuery(PlainQuery(2, "Q1")).valid());
+    EXPECT_TRUE(engine.RegisterQuery(PlainQuery(6, "Q2")).valid());
+    PushRange(&engine, merged, 0, mid);
+    // 4 s falls inside the [2 s, 6 s) slice: an in-place split.
+    EXPECT_TRUE(engine.RegisterQuery(PlainQuery(4, "Q3")).valid());
+    EXPECT_EQ(engine.migrations(), 1u);
+    EXPECT_EQ(engine.ChainSlices().size(), 3u);
+    PushRange(&engine, merged, mid, merged.size());
+    std::string snapshot;
+    EXPECT_TRUE(engine.Checkpoint(&snapshot)) << engine.last_error();
+    return snapshot;
+  };
+  const std::string first = split_snapshot();
+  EXPECT_EQ(split_snapshot(), first);
 }
 
 TEST(CheckpointDeathTest, PushAfterFinishDies) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -213,6 +214,51 @@ void RunChurnFuzz(uint64_t seed, ExecutionMode mode) {
 
   const RunStats stats = engine->Snapshot();
   EXPECT_EQ(stats.input_tuples + engine->dropped_tuples(), merged.size());
+}
+
+// Two engines churning in place on two threads share no state: the names
+// of the operators their migrations insert come from each plan's own
+// serial. The tsan preset runs this suite.
+TEST(EngineChurnThreadsTest, TwoEnginesMigrateInPlaceConcurrently) {
+  WorkloadSpec spec;
+  spec.rate_a = spec.rate_b = 25;
+  spec.duration_s = 12;
+  spec.seed = 91;
+  const Workload workload = GenerateWorkload(spec);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  const auto churn = [&](std::string* snapshot) {
+    Engine::Options options;
+    options.condition = workload.condition;
+    Engine engine(options);
+    for (const double window_s : {2.0, 4.0, 6.0, 8.0}) {
+      ContinuousQuery q;
+      q.window = WindowSpec::TimeSeconds(window_s);
+      EXPECT_TRUE(engine.RegisterQuery(q).valid());
+    }
+    const size_t rounds = 12;
+    size_t next = 0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const size_t to =
+          StrictIncreaseAt(merged, merged.size() * (r + 1) / rounds);
+      for (; next < to; ++next) engine.Push(merged[next].side, merged[next]);
+      // A window inside a slice splits it in place; its removal keeps the
+      // boundary, so later rounds split the remaining slices.
+      ContinuousQuery q;
+      q.window = WindowSpec::TimeSeconds(0.5 + 0.6 * static_cast<double>(r));
+      const QueryHandle h = engine.RegisterQuery(q);
+      EXPECT_TRUE(h.valid()) << engine.last_error();
+      EXPECT_TRUE(engine.UnregisterQuery(h));
+    }
+    EXPECT_GT(engine.CompactChain(), 0);  // merges the orphaned boundaries
+    EXPECT_EQ(engine.rebuilds(), 0u);
+    EXPECT_TRUE(engine.Checkpoint(snapshot)) << engine.last_error();
+  };
+  std::string first, second;
+  std::thread a(churn, &first);
+  std::thread b(churn, &second);
+  a.join();
+  b.join();
+  EXPECT_EQ(first, second);
 }
 
 TEST(EngineChurnFuzzTest, Deterministic) {
