@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,7 +68,10 @@ inline BenchRun RunBench(const Engine::Options& options,
                          std::span<const Tuple> arrivals, double warmup_s) {
   Engine engine(options);
   for (const ContinuousQuery& q : queries) {
-    SLICE_CHECK(engine.RegisterQuery(q).valid());
+    if (!engine.RegisterQuery(q).valid()) {
+      std::fprintf(stderr, "error: %s\n", engine.last_error().c_str());
+      std::exit(1);
+    }
   }
   const TimePoint warmup = SecondsToTicks(warmup_s);
   CostCounters at_warmup;

@@ -82,6 +82,8 @@ TEST(EngineTest, LifecycleMatchesOracle) {
             engine.ResultCount(h1) + engine.ResultCount(h2));
   EXPECT_GT(stats.events_processed, stats.input_tuples);
   EXPECT_GT(stats.cost.Total(), 0u);
+  EXPECT_GT(stats.ComparisonsPerVirtualSecond(), 0.0);
+  EXPECT_GT(stats.ServiceRate(), 0.0);
   EXPECT_FALSE(stats.memory_samples.empty());
   EXPECT_EQ(engine.rebuilds(), 0u);
 }
