@@ -87,7 +87,8 @@ ArmOutcome RunArmOnce(const std::vector<Tuple>& merged, bool batched,
   for (double w : {0.1, 0.2, 0.3, 0.4, 0.5}) {
     ContinuousQuery q;
     q.window = WindowSpec::TimeSeconds(w);
-    SLICE_CHECK(engine.RegisterQuery(q).valid());
+    const bool registered = engine.RegisterQuery(q).valid();
+    SLICE_CHECK(registered);
   }
 
   const auto start = std::chrono::steady_clock::now();

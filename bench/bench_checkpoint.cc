@@ -42,7 +42,8 @@ void RegisterWindows(Engine* engine, const std::vector<double>& windows_s) {
   for (double w : windows_s) {
     ContinuousQuery q;
     q.window = WindowSpec::TimeSeconds(w);
-    SLICE_CHECK(engine->RegisterQuery(q).valid());
+    const bool registered = engine->RegisterQuery(q).valid();
+    SLICE_CHECK(registered);
   }
 }
 
@@ -90,13 +91,15 @@ SnapshotOutcome RunSnapshot(const Workload& workload, double window_s) {
   }
   std::string snapshot;
   auto start = std::chrono::steady_clock::now();
-  SLICE_CHECK(engine.Checkpoint(&snapshot));
+  const bool checkpointed = engine.Checkpoint(&snapshot);
+  SLICE_CHECK(checkpointed);
   outcome.checkpoint_ms = Seconds(start) * 1e3;
   outcome.snapshot_bytes = snapshot.size();
 
   Engine restored(ChainOptions(workload));
   start = std::chrono::steady_clock::now();
-  SLICE_CHECK(restored.Restore(snapshot));
+  const bool restored_ok = restored.Restore(snapshot);
+  SLICE_CHECK(restored_ok);
   outcome.restore_ms = Seconds(start) * 1e3;
   SLICE_CHECK_EQ(restored.Snapshot().input_tuples,
                  engine.Snapshot().input_tuples);

@@ -77,7 +77,8 @@ ChurnOutcome RunChurn(SharingStrategy strategy, const Workload& workload,
         SLICE_CHECK(h.valid());
         extra.push_back(h);
       } else {
-        SLICE_CHECK(engine.UnregisterQuery(extra.back()));
+        const bool removed = engine.UnregisterQuery(extra.back());
+        SLICE_CHECK(removed);
         extra.pop_back();
         engine.CompactChain();
       }

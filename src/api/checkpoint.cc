@@ -4,7 +4,7 @@
 //
 // Each record has one field list, a Visit(Ar&, T&) below that a
 // StateWriter walks on Checkpoint and a StateReader on Restore, so format
-// v3 is those lists in the order Checkpoint visits them: magic and
+// v4 is those lists in the order Checkpoint visits them: magic and
 // version, VisitFingerprint, SessionCounters, SessionMetrics, the
 // ActiveEntry and RetiredQuery lists (token order), the plan section
 // (present iff the engine was running), then a CRC-32 over everything
@@ -49,7 +49,7 @@
 namespace stateslice {
 namespace {
 
-constexpr uint32_t kCheckpointVersion = 3;
+constexpr uint32_t kCheckpointVersion = 4;
 const char kCheckpointMagic[4] = {'S', 'S', 'C', 'P'};
 // Smallest encodings, which bound decoded counts by the bytes left.
 constexpr size_t kRetiredEntryBytes = 8 + 8 + 8 + 4;
@@ -267,8 +267,6 @@ void Visit(Ar& ar, SessionMetrics& m) {
   Io<uint64_t>(ar, m.events);
   Io<uint64_t>(ar, m.edge_events);
   Io<uint64_t>(ar, m.edge_hwm);
-  Io<uint64_t>(ar, m.steals);
-  Io<uint64_t>(ar, m.spilled_runs);
   Visit(ar, m.cost);
   Visit(ar, m.memory_samples, 24);
 }
@@ -389,7 +387,7 @@ std::vector<JoinRef> PlanJoins(const BuiltPlan& built) {
   return joins;
 }
 
-// One plan's operator state: every join (its type and name, its range or
+// One plan's operator state: every join (its type, its range or
 // windows checked against the rebuilt join, then its window contents),
 // then the buffered events of each union holding some: query unions keyed
 // by record token (`qid_token`: dense id -> token), the rest (multi-level
@@ -403,11 +401,6 @@ void VisitPlanState(Ar& ar, BuiltPlan& built,
   for (const JoinRef& j : joins) {
     if (!ar.ok()) return;
     Expect<uint8_t>(ar, "join type", j.sliced == nullptr);
-    // Decoded but not checked: a migration-created join is named
-    // differently from its rebuilt twin.
-    std::string name =
-        j.sliced != nullptr ? j.sliced->name() : j.sliding->name();
-    Io(ar, name);
     if (j.sliced != nullptr) {
       const SliceRange& range = j.sliced->range();
       Expect<uint8_t>(ar, "slice range", range.kind);

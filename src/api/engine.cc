@@ -432,12 +432,9 @@ void Engine::BuildPlan(const ChainPlan* chain) {
         shards, queries, bopt, [&] { return build_one(shard_opt); }));
   } else {
     built_ = build_one(bopt);
-    if (options_.mode == ExecutionMode::kDeterministic) {
-      // run_length == 0 keeps the paper-faithful default quantum of 8.
-      det_scheduler_ = std::make_unique<RoundRobinScheduler>(
-          built_.plan.get(),
-          options_.run_length > 0 ? options_.run_length : 8);
-    }
+    // run_length == 0 keeps the paper-faithful default quantum of 8.
+    det_scheduler_ = std::make_unique<RoundRobinScheduler>(
+        built_.plan.get(), options_.run_length > 0 ? options_.run_length : 8);
   }
   for (SubscriptionRecord& sub : subscriptions_) {
     if (FindActive(sub.query_token) != nullptr) WireSubscription(&sub);
@@ -590,8 +587,6 @@ void Engine::PauseSharded() {
   metrics_.edge_events += shard_scheduler_->edges_total_pushed();
   metrics_.edge_hwm = std::max<uint64_t>(
       metrics_.edge_hwm, shard_scheduler_->edges_high_water_mark());
-  metrics_.steals += shard_scheduler_->steals();
-  metrics_.spilled_runs += shard_scheduler_->spilled_runs();
   shard_scheduler_.reset();
 }
 
@@ -767,8 +762,7 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
   session_.input_tuples += tuples.size();
   if (shard_scheduler_ != nullptr) {
     // Stage the batch in the reused run buffer; the router partitions the
-    // run. A flush at the batch boundary bounds how long a partial spill
-    // run can sit staged in the router (batch-granular visibility).
+    // run.
     batch_run_.clear();
     batch_run_.reserve(tuples.size());
     for (const Tuple& t : tuples) {
@@ -777,7 +771,6 @@ void Engine::PushBatch(StreamId stream, std::span<const Tuple> tuples) {
       batch_run_.push_back(Event(std::move(staged)));
     }
     shard_scheduler_->PushEntryRun(&batch_run_);
-    shard_scheduler_->FlushInput();
   } else {
     // Deterministic mode owns the entry queue outright: write each event
     // straight into the ring (no staging round trip), then drain once for
@@ -802,12 +795,9 @@ void Engine::PushBatch(StreamId stream, std::vector<Tuple>&& tuples) {
 
 uint64_t Engine::Poll(uint64_t max_events) {
   if (shard_scheduler_ != nullptr) {
-    // Flush the router's staged spill runs so single-Push feeds make
-    // progress even below the spill-run granule, then report the workers'
-    // progress since the last Poll. The engine is single-caller, so plain
-    // counters suffice; PauseSharded folds a finishing segment's remainder
-    // into session_.poll_pending.
-    shard_scheduler_->FlushInput();
+    // Report the workers' progress since the last Poll. The engine is
+    // single-caller, so plain counters suffice; PauseSharded folds a
+    // finishing segment's remainder into session_.poll_pending.
     const uint64_t current = shard_scheduler_->total_processed();
     const uint64_t delta =
         session_.poll_pending + (current - poll_segment_reported_);
@@ -1067,8 +1057,6 @@ RunStats Engine::Snapshot() {
   }
   stats.parallel_edge_events = metrics_.edge_events;
   stats.parallel_edge_high_water_mark = metrics_.edge_hwm;
-  stats.shard_steals = metrics_.steals;
-  stats.shard_spilled_runs = metrics_.spilled_runs;
 
   if (had_workers) ResumeAfterSurgery();
   return stats;

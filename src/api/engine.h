@@ -56,8 +56,8 @@
 // methods). ExecutionMode::kDeterministic runs everything on that thread.
 // ExecutionMode::kSharded adds key-partitioned data parallelism: arrivals
 // are hash-routed by join key into Options::shard_count independent
-// replicas of the shared plan (one worker each, work-stealing between them
-// for skewed key distributions), and a
+// replicas of the shared plan (one fixed worker each; a full shard ring
+// makes Push wait, so a hot key serializes on its shard), and a
 // merge plan re-establishes global timestamp order before the sinks — see
 // src/runtime/sharded_scheduler.h. Sharded mode requires the equi-key join
 // condition (so equal keys meet in one replica) and time-based windows
@@ -159,8 +159,6 @@ struct SessionMetrics {
   uint64_t events = 0;
   uint64_t edge_events = 0;
   uint64_t edge_hwm = 0;
-  uint64_t steals = 0;
-  uint64_t spilled_runs = 0;
   CostCounters cost;
   std::vector<MemorySample> memory_samples;
 };

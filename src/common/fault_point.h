@@ -4,7 +4,7 @@
 // only be proven if tests can die *at* the failure-prone seams, not just
 // between API calls. STATESLICE_FAULT_POINT(site) marks those seams —
 // ingestion, ring-full backpressure, the middle of a checkpoint write,
-// migration surgery, shard token handoff — with a stable site name.
+// migration surgery, shard worker runs — with a stable site name.
 //
 // In normal builds the macro expands to nothing: zero overhead,
 // byte-identical codegen (bench_checkpoint gates this against

@@ -82,7 +82,7 @@ void RekeyForEquiJoin(MultiWorkload* workload, int64_t key_domain,
 // s ≈ 1 is the classic web-trace skew where the hottest key dominates.
 // Used by the sharded runtime's skew benchmarks and equivalence tests —
 // hash partitioning sends each hot key to a single shard, so Zipf keys
-// are exactly the load imbalance work-stealing has to absorb.
+// load one shard's worker far more than the others.
 void RekeyForEquiJoinZipf(Workload* workload, int64_t key_domain,
                           double zipf_s, uint64_t key_seed);
 

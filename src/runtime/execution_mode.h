@@ -15,8 +15,8 @@ namespace stateslice {
 //  - kSharded: the key-partitioned scheduler of
 //    src/runtime/sharded_scheduler.h. Arrivals are hash-partitioned by the
 //    plan's equi-join key into N independent replicas of the sliced chain
-//    (data parallelism), one worker per shard plus bounded work-stealing
-//    for skewed key domains; a merge plan re-establishes timestamp order
+//    (data parallelism), one fixed worker per shard (a hot key serializes
+//    on its shard); a merge plan re-establishes timestamp order
 //    through UnionMerge before the authoritative sinks. Requires an
 //    equi-key join condition; plan surgery takes the drain-rebuild path.
 //

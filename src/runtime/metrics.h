@@ -56,8 +56,9 @@ struct RunStats {
   // analogue). The names predate sharded mode and are kept for readers.
   uint64_t parallel_edge_events = 0;
   size_t parallel_edge_high_water_mark = 0;
-  // kSharded only: overflow runs executed by a non-owner worker, and runs
-  // spilled from ingress rings into the overflow deques (stealable work).
+  // Retired: always 0. Sharded mode gives every shard one fixed worker and
+  // one ingress ring, so no run is stolen or spilled; the fields stay so
+  // existing readers keep compiling.
   uint64_t shard_steals = 0;
   uint64_t shard_spilled_runs = 0;
 

@@ -9,95 +9,49 @@
 namespace stateslice {
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(options),
-      pending_(static_cast<size_t>(options.num_shards)),
-      routed_(static_cast<size_t>(options.num_shards)) {
+    : options_(options), routed_(static_cast<size_t>(options.num_shards)) {
   SLICE_CHECK(options_.num_shards >= 1);
-  SLICE_CHECK(options_.spill_run_length >= 1);
   cells_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     // lint: allow(hot-path-alloc) -- constructor-time cell setup
-    cells_.push_back(std::make_unique<ShardCell>(options_.ring_capacity,
-                                                 options_.overflow_capacity));
+    cells_.push_back(std::make_unique<ShardCell>(options_.ring_capacity));
   }
 }
 
 void ShardRouter::Route(Event event) {
   if (IsTuple(event)) {
-    const int shard = ShardOf(std::get<Tuple>(event).key);
-    ShardCell& c = cell(shard);
-    // lint: allow(atomic-memory-order) -- single-writer accounting counter
-    STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD(
-        "shard.routed_add", routed_[static_cast<size_t>(shard)], 1,
-        std::memory_order_relaxed);
-    // FIFO spill discipline: the ring is only eligible while nothing is
-    // staged and the overflow is empty — otherwise this event would
-    // overtake older spilled ones.
-    if (!pending_[static_cast<size_t>(shard)].empty() ||
-        !c.overflow.ProducerEmpty()) {
-      Spill(shard, std::move(event));
-      return;
-    }
-    // The router has a single feeder thread (machine-checked via
-    // feeder_role_), and that feeder is every shard ring's one producer.
-    c.ring.AssertProducer();
-    if (!c.ring.TryPush(std::move(event))) Spill(shard, std::move(event));
+    PushToShard(ShardOf(std::get<Tuple>(event).key), std::move(event));
     return;
   }
   // Non-tuple events (punctuations) carry stream-wide assertions: every
   // shard replica needs them to purge state and advance its merges.
   for (int s = 0; s < options_.num_shards; ++s) {
-    ShardCell& c = cell(s);
-    // lint: allow(atomic-memory-order) -- single-writer accounting counter
-    STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD(
-        "shard.routed_add", routed_[static_cast<size_t>(s)], 1,
-        std::memory_order_relaxed);
-    Event copy = s + 1 == options_.num_shards ? std::move(event) : event;
-    if (!pending_[static_cast<size_t>(s)].empty() ||
-        !c.overflow.ProducerEmpty()) {
-      Spill(s, std::move(copy));
-      continue;
-    }
-    // Same single-feeder justification as the tuple path above.
-    c.ring.AssertProducer();
-    if (!c.ring.TryPush(std::move(copy))) Spill(s, std::move(copy));
+    PushToShard(s, s + 1 == options_.num_shards ? std::move(event) : event);
   }
 }
 
-void ShardRouter::Spill(int shard, Event event) {
-  EventRun& run = pending_[static_cast<size_t>(shard)];
-  run.push_back(std::move(event));
-  if (run.size() >= options_.spill_run_length) FlushShard(shard);
-}
-
-void ShardRouter::FlushShard(int shard) {
-  EventRun& run = pending_[static_cast<size_t>(shard)];
-  if (run.empty()) return;
-  ShardCell& c = cell(shard);
-  // The single feeder thread is every overflow deque's one producer.
-  c.overflow.AssertProducer();
+void ShardRouter::PushToShard(int shard, Event event) {
+  // lint: allow(atomic-memory-order) -- single-writer accounting counter
+  STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD(
+      "shard.routed_add", routed_[static_cast<size_t>(shard)], 1,
+      std::memory_order_relaxed);
+  SpscQueue<Event>& ring = cell(shard).ring;
+  // The router has a single feeder thread (machine-checked via
+  // feeder_role_), and that feeder is every shard ring's one producer.
+  ring.AssertProducer();
   SpinBackoff backoff;
-  while (!c.overflow.TryPushBack(std::move(run))) {
-    // Futile until some token holder pops a run: a full overflow deque is
-    // the sharded mode's ingestion backpressure.
+  while (!ring.TryPush(std::move(event))) {
+    // Futile until the shard's worker pops: a full ring is the sharded
+    // mode's ingestion backpressure.
     STATESLICE_SYNC_FUTILE("shard.route_backpressure");
     backoff.Pause();
   }
-  run.clear();  // moved-from: restore a defined empty state
-  // lint: allow(atomic-memory-order) -- single-writer accounting counter
-  STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("shard.spilled_add", spilled_runs_, 1,
-                                         std::memory_order_relaxed);
-}
-
-void ShardRouter::FlushPending() {
-  for (int s = 0; s < options_.num_shards; ++s) FlushShard(s);
 }
 
 void ShardRouter::CloseAll() {
-  FlushPending();
   for (int s = 0; s < options_.num_shards; ++s) {
     STATESLICE_ATOMIC_STORE("shard.close", cell(s).closed, 1,
-                            std::memory_order_release);
+                            shard_internal::kCloseReleaseOrder);
   }
 }
 

@@ -1,34 +1,22 @@
 // Key-hash router feeding the sharded execution mode.
 //
 // The sharded scheduler (src/runtime/sharded_scheduler.h) replicates the
-// shared sliced chain into N independent shard instances; this router owns
-// the per-shard ingress structures and the single-feeder routing
-// discipline that keeps every shard's input timestamp-ordered:
+// shared sliced chain into N independent shard instances, each driven by
+// one fixed worker; this router owns the per-shard ingress structures and
+// the single-feeder routing discipline that keeps every shard's input
+// timestamp-ordered:
 //
 //  - A Tuple is routed to shard hash(key) % N, so equal keys always meet
 //    in the same replica (equi-join results are exactly the union of the
 //    per-shard results). Punctuations (and any non-tuple event) broadcast
 //    to every shard.
-//  - Each shard is fed through a bounded SPSC ring. When the ring is full
-//    — a loaded or skewed shard — events spill into the shard's overflow
-//    deque as whole EventRuns, the unit of work-stealing.
-//  - FIFO across the two lanes: an event goes to the ring only while the
-//    overflow is empty (and nothing is staged); once anything spills,
-//    every later event for that shard spills too, until the overflow
-//    drains. Hence whenever ring and overflow are both non-empty, every
-//    ring event is older than every overflow event, and a consumer that
-//    drains ring-first-then-overflow-head preserves arrival order —
-//    PROVIDED the consumer re-checks the ring after observing the
-//    overflow non-empty (an acquire snapshot) and before popping it. A
-//    lone ring-empty read may be stale relative to a later overflow
-//    read; the non-empty observation synchronizes with the feeder's
-//    spill publication, making every older ring event visible to the
-//    re-check. (Found by the interleave explorer; invisible on TSO.)
-//
-// The execution token serializing each shard's consumers also lives here:
-// workers (owner or thief) win the token with a CAS and release it with a
-// release store, which is the happens-before edge that carries shard-local
-// consumer state (ring/deque caches, plan state) between executors.
+//  - Each shard is fed through one bounded SPSC ring, its only ingress
+//    lane. When the ring is full the feeder waits for the shard's worker
+//    to pop: that wait is the sharded mode's ingestion backpressure, and a
+//    hot key serializes on its shard.
+//  - CloseAll publishes each shard's closed flag with a release store after
+//    the last push. A worker that reads the flag set (acquire) and then
+//    finds the ring empty has seen every routed event (ClosedAndEmpty).
 #ifndef STATESLICE_RUNTIME_SHARD_ROUTER_H_
 #define STATESLICE_RUNTIME_SHARD_ROUTER_H_
 
@@ -40,26 +28,24 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/common/tuple.h"
-#include "src/runtime/queue.h"
 #include "src/runtime/spsc_queue.h"
-#include "src/runtime/steal_deque.h"
 #include "src/runtime/sync_point.h"
 
 namespace stateslice {
 
 namespace shard_internal {
 
-// Order of the token-release store. Releasing the shard execution token
-// publishes every shard-local write the holder made (plan state, ring and
-// deque consumer caches) to the next holder's acquire CAS; weakening it to
-// relaxed is the seeded-violation variant the interleave catch tests prove
-// detectable. Compiled only by those tests, never by production targets.
-#if defined(STATESLICE_SEEDED_BUG_5)
+// Order of the close-flag store. Releasing the flag publishes every ring
+// push the feeder made before it to the worker's acquire load, so "closed
+// and empty" means no event is left; weakening it to relaxed is the
+// seeded-violation variant the interleave catch test proves detectable.
+// Compiled only by that test, never by production targets.
+#if defined(STATESLICE_SEEDED_BUG_7)
 // lint: allow(atomic-memory-order) -- seeded interleave-catch violation
-inline constexpr std::memory_order kTokenReleaseOrder =
+inline constexpr std::memory_order kCloseReleaseOrder =
     std::memory_order_relaxed;
 #else
-inline constexpr std::memory_order kTokenReleaseOrder =
+inline constexpr std::memory_order kCloseReleaseOrder =
     std::memory_order_release;
 #endif
 
@@ -69,31 +55,22 @@ struct ShardRouterOptions {
   int num_shards = 2;
   // Per-shard SPSC ring capacity (events).
   size_t ring_capacity = 256;
-  // Per-shard overflow deque capacity (whole EventRuns).
-  size_t overflow_capacity = 64;
-  // Events per spilled run: the granularity of work-stealing.
-  size_t spill_run_length = 64;
 };
 
-// Per-shard ingress state. The ring/overflow carry their own role
-// capabilities; the token and closed flag are lock-free cross-thread sites.
+// Per-shard ingress state: the ring carries its own role capabilities; the
+// closed flag is a lock-free cross-thread site.
 struct ShardCell {
-  ShardCell(size_t ring_capacity, size_t overflow_capacity)
-      : ring(ring_capacity), overflow(overflow_capacity) {}
+  explicit ShardCell(size_t ring_capacity) : ring(ring_capacity) {}
 
   SpscQueue<Event> ring;
-  StealDeque<EventRun> overflow;
-  // Execution token: 0 = free, else 1 + worker index of the holder. See
-  // ShardRouter::TryAcquireToken.
-  alignas(64) std::atomic<uint32_t> token{0};
-  // Set (release) by the feeder after the final flush: no further input
-  // will arrive on this shard.
-  std::atomic<uint32_t> closed{0};
+  // Set (release) by the feeder after its last push: no further input will
+  // arrive on this shard.
+  alignas(64) std::atomic<uint32_t> closed{0};
 };
 
 // Owns the shard cells and the feeder-side routing state. Thread contract:
-// Route/FlushPending/CloseAll are feeder-thread-only (machine-checked via
-// the feeder role); TryAcquireToken/ReleaseToken/IsClosed are any-thread.
+// Route/CloseAll are feeder-thread-only (machine-checked via the feeder
+// role); IsClosed/ClosedAndEmpty are any-thread.
 class ShardRouter {
  public:
   explicit ShardRouter(ShardRouterOptions options);
@@ -103,6 +80,9 @@ class ShardRouter {
 
   int num_shards() const { return options_.num_shards; }
   ShardCell& cell(int shard) { return *cells_[static_cast<size_t>(shard)]; }
+  const ShardCell& cell(int shard) const {
+    return *cells_[static_cast<size_t>(shard)];
+  }
 
   // Shard index for an equi-join key (splitmix64 finalizer: cheap and
   // well-distributed even for dense sequential key domains).
@@ -118,45 +98,27 @@ class ShardRouter {
   // Document why at each call site.
   void AssertFeeder() const STATESLICE_ASSERT_CAPABILITY(feeder_role_) {}
 
-  // Routes one event (tuples by key; everything else broadcast). May block
-  // (spin/backoff) when a shard's overflow deque is full — that is the
-  // sharded mode's ingestion backpressure. Feeder thread only.
+  // Routes one event (tuples by key; everything else broadcast). Waits
+  // (spin/backoff) while a target shard's ring is full — the sharded
+  // mode's ingestion backpressure. Feeder thread only.
   void Route(Event event) STATESLICE_REQUIRES(feeder_role_);
 
-  // Pushes every staged partial spill run out to the overflow deques so
-  // workers can see all routed input (call at batch boundaries and before
-  // polling results). Feeder thread only.
-  void FlushPending() STATESLICE_REQUIRES(feeder_role_);
-
-  // Flushes, then publishes the closed flag on every shard (release): no
-  // further input. Feeder thread only.
+  // Publishes the closed flag on every shard (release): no further input.
+  // Feeder thread only.
   void CloseAll() STATESLICE_REQUIRES(feeder_role_);
 
   // True once CloseAll has published this shard's close (acquire).
-  bool IsClosed(int shard) {
-    return STATESLICE_ATOMIC_LOAD("shard.closed_check",
-                                  cell(shard).closed,
+  bool IsClosed(int shard) const {
+    return STATESLICE_ATOMIC_LOAD("shard.closed_check", cell(shard).closed,
                                   std::memory_order_acquire) != 0;
   }
 
-  // Attempts to win `shard`'s execution token for `worker` (any thread).
-  // Success makes the caller the shard's sole executor — and the rightful
-  // asserter of the scheduler's per-shard exec role — until ReleaseToken.
-  // The acquire half of the CAS synchronizes with the previous holder's
-  // release, handing over all shard-local state.
-  bool TryAcquireToken(int shard, uint32_t worker) {
-    uint32_t expected = 0;
-    return STATESLICE_ATOMIC_CAS("shard.token_acquire", cell(shard).token,
-                                 expected, worker + 1,
-                                 std::memory_order_acq_rel,
-                                 std::memory_order_acquire);
-  }
-
-  // Releases `shard`'s token (holder only): the release store publishes
-  // every shard-local write of this hold to the next acquirer.
-  void ReleaseToken(int shard) {
-    STATESLICE_ATOMIC_STORE("shard.token_release", cell(shard).token, 0,
-                            shard_internal::kTokenReleaseOrder);
+  // True once the shard is closed and its ring drained: its worker may
+  // exit. The flag is read first; its acquire makes the emptiness read
+  // authoritative (the other order could pair a stale empty view with a
+  // fresh close and strand the last event).
+  bool ClosedAndEmpty(int shard) const {
+    return IsClosed(shard) && cell(shard).ring.empty();
   }
 
   // Events routed so far, per shard (feeder-side exact counts; any-thread
@@ -167,25 +129,14 @@ class ShardRouter {
         "shard.routed", routed_[static_cast<size_t>(shard)],
         std::memory_order_relaxed);
   }
-  // Runs spilled to overflow deques so far (stale snapshot).
-  uint64_t spilled_runs() const {
-    // lint: allow(atomic-memory-order) -- stale-snapshot accounting read
-    return STATESLICE_ATOMIC_ACCOUNTING_LOAD("shard.spilled", spilled_runs_,
-                                             std::memory_order_relaxed);
-  }
 
  private:
-  // Appends to the shard's staged run, flushing it to the overflow deque
-  // at spill_run_length (blocking on a full deque).
-  void Spill(int shard, Event event) STATESLICE_REQUIRES(feeder_role_);
-  void FlushShard(int shard) STATESLICE_REQUIRES(feeder_role_);
+  // Pushes `event` onto `shard`'s ring, waiting while it is full.
+  void PushToShard(int shard, Event event) STATESLICE_REQUIRES(feeder_role_);
 
   const ShardRouterOptions options_;
   std::vector<std::unique_ptr<ShardCell>> cells_;
-  // Staged partial spill run per shard (feeder-owned).
-  std::vector<EventRun> pending_ STATESLICE_GUARDED_BY(feeder_role_);
   std::vector<std::atomic<uint64_t>> routed_;
-  std::atomic<uint64_t> spilled_runs_{0};
   ThreadRole feeder_role_;
 };
 

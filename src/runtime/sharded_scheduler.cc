@@ -18,15 +18,11 @@ ShardedScheduler::ShardedScheduler(ShardedPlanSet* plans,
   caller_role_.Assert();
   SLICE_CHECK(plans_ != nullptr);
   SLICE_CHECK(plans_->num_shards() >= 1);
-  SLICE_CHECK(options_.runs_per_hold >= 1);
 
-  ShardRouterOptions ropts;
-  ropts.num_shards = plans_->num_shards();
-  ropts.ring_capacity = options_.ring_capacity;
-  ropts.overflow_capacity = options_.overflow_capacity;
-  ropts.spill_run_length = options_.spill_run_length;
   // lint: allow(hot-path-alloc) -- constructor-time setup
-  router_ = std::make_unique<ShardRouter>(ropts);
+  router_ = std::make_unique<ShardRouter>(ShardRouterOptions{
+      .num_shards = plans_->num_shards(),
+      .ring_capacity = options_.ring_capacity});
 
   const int nq = plans_->num_queries();
   execs_.reserve(static_cast<size_t>(plans_->num_shards()));
@@ -74,11 +70,11 @@ void ShardedScheduler::Start() {
   SLICE_CHECK(plans_->merge.plan->started());
   plans_->merge.plan->BeginExecution(ExecutionMode::kSharded);
   worker_threads_.reserve(static_cast<size_t>(plans_->num_shards()));
-  for (int w = 0; w < plans_->num_shards(); ++w) {
+  for (int s = 0; s < plans_->num_shards(); ++s) {
     // Announce the spawn before the thread exists so a schedule-test
     // explorer knows to wait for the worker's registration.
     STATESLICE_SYNC_THREAD_SPAWN();
-    worker_threads_.emplace_back(&ShardedScheduler::RunWorker, this, w);
+    worker_threads_.emplace_back(&ShardedScheduler::RunWorker, this, s);
   }
   STATESLICE_SYNC_THREAD_SPAWN();
   merge_thread_ = std::thread(&ShardedScheduler::RunMerge, this);
@@ -106,14 +102,6 @@ void ShardedScheduler::PushEntryRun(EventRun* run) {
   router_->AssertFeeder();
   for (Event& event : *run) router_->Route(std::move(event));
   run->clear();
-}
-
-void ShardedScheduler::FlushInput() {
-  caller_role_.Assert();  // feeder == owning caller (single-caller contract)
-  SLICE_CHECK(started_);
-  if (input_finished_) return;
-  router_->AssertFeeder();
-  router_->FlushPending();
 }
 
 void ShardedScheduler::FinishInput() {
@@ -153,91 +141,13 @@ void ShardedScheduler::Join() {
   plans_->merge.plan->EndExecution();
 }
 
-bool ShardedScheduler::TryProcessShard(int shard, int worker) {
-  ShardCell& cell = router_->cell(shard);
-  // Cheap tokenless pre-check. Both snapshots may be stale; a false empty
-  // is retried by the caller's loop and a false non-empty just wastes one
-  // token round-trip.
-  if (cell.ring.empty() && cell.overflow.empty()) return false;
-  if (!router_->TryAcquireToken(shard, static_cast<uint32_t>(worker))) {
-    return false;
-  }
-  // Observation seam: token handoffs are countable under fault testing
-  // (worker threads reach this — count-only, never throws).
-  STATESLICE_FAULT_POINT("shard.token_handoff");
-  ShardExec& ex = *execs_[static_cast<size_t>(shard)];
-  // Winning the token CAS makes this thread the shard's sole executor
-  // until ReleaseToken below; its acquire half synchronizes with the
-  // previous holder's release store, handing over every role-guarded
-  // member (scratch runs, scheduler, plan state) and the ring/deque
-  // consumer caches.
-  ex.role.Assert();
-  cell.ring.AssertConsumer();      // token holder = sole ring consumer
-  cell.overflow.AssertConsumer();  // token holder = sole overflow consumer
-  bool progress = false;
-  // Bounded hold: ring first (older events), then the overflow head, so
-  // per-shard arrival order is preserved no matter who executes.
-  for (int hold = 0; hold < options_.runs_per_hold; ++hold) {
-    ex.ring_run.clear();
-    if (cell.ring.TryPopRun(&ex.ring_run,
-                            static_cast<size_t>(options_.quantum)) > 0) {
-      ex.built->entry->PushRun(&ex.ring_run);
-      ex.rr->RunUntilQuiescent();
-      progress = true;
-      continue;
-    }
-    // The ring-empty read above may be stale: the feeder pushes ring
-    // events BEFORE spilling, but nothing orders this thread's ring read
-    // after its view of the spill. Popping the overflow on a stale ring
-    // view would feed a newer spilled run ahead of older ring events.
-    // The acquire occupancy snapshot below synchronizes with the spill
-    // publication, so after observing a non-empty overflow a ring
-    // re-check is guaranteed to see every event routed before the
-    // overflow head — drain those first.
-    if (cell.overflow.empty()) break;  // stale-true just ends the hold
-    ex.ring_run.clear();
-    if (cell.ring.TryPopRun(&ex.ring_run,
-                            static_cast<size_t>(options_.quantum)) > 0) {
-      ex.built->entry->PushRun(&ex.ring_run);
-      ex.rr->RunUntilQuiescent();
-      progress = true;
-      continue;
-    }
-    ex.overflow_run.clear();
-    if (cell.overflow.TryPopFront(&ex.overflow_run)) {
-      if (worker != shard) {
-        // lint: allow(atomic-memory-order) -- commutative accounting counter
-        STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("shard.steal_add", steals_, 1,
-                                               std::memory_order_relaxed);
-      }
-      ex.built->entry->PushRun(&ex.overflow_run);
-      ex.rr->RunUntilQuiescent();
-      progress = true;
-      continue;
-    }
-    break;  // shard drained (for now)
-  }
-  if (progress) {
-    RelayExits(&ex, shard);
-    const uint64_t processed = ex.rr->total_processed();
-    // lint: allow(atomic-memory-order) -- commutative accounting counter
-    STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("shard.total_add",
-                                           total_processed_,
-                                           processed - ex.reported,
-                                           std::memory_order_relaxed);
-    ex.reported = processed;
-  }
-  router_->ReleaseToken(shard);
-  return progress;
-}
-
 void ShardedScheduler::RelayExits(ShardExec* ex, int shard) {
   const auto& exits = plans_->exits[static_cast<size_t>(shard)];
   for (size_t q = 0; q < exits.size(); ++q) {
     EventQueue* exit = exits[q];
     SpscQueue<Event>& ring = *ex->results[q];
-    // The shard's token holder is the only thread touching the shard plan's
-    // exit taps — and hence the only producer of its result rings.
+    // The shard's worker is the only thread touching the shard plan's exit
+    // taps — and hence the only producer of its result rings.
     ring.AssertProducer();
     while (!exit->empty()) {
       ex->relay_run.clear();
@@ -260,41 +170,38 @@ void ShardedScheduler::RelayExits(ShardExec* ex, int shard) {
   }
 }
 
-void ShardedScheduler::RunWorker(int worker) {
-  STATESLICE_SYNC_THREAD_BEGIN(worker);
-  const int n = plans_->num_shards();
+void ShardedScheduler::RunWorker(int shard) {
+  STATESLICE_SYNC_THREAD_BEGIN(shard);
+  ShardExec& ex = *execs_[static_cast<size_t>(shard)];
+  ShardCell& cell = router_->cell(shard);
+  // This function is the shard's worker entry point: by construction the
+  // executing thread is the shard's one executor, the sole consumer of its
+  // ingress ring and the sole producer of its result rings.
+  ex.role.Assert();
+  cell.ring.AssertConsumer();
   SpinBackoff backoff;
   for (;;) {
-    // Home shard first; steal scan only when home yields nothing.
-    bool progress = TryProcessShard(worker, worker);
-    for (int off = 1; off < n && !progress; ++off) {
-      const int victim = (worker + off) % n;
-      ShardCell& cell = router_->cell(victim);
-      // Steal only when stealable work is visible. Stale snapshots are
-      // fine: a false empty retries next round, a false non-empty loses
-      // the token race or finds the shard drained.
-      if (cell.overflow.empty() && cell.ring.empty()) continue;
-      progress = TryProcessShard(victim, worker);
-    }
-    if (progress) {
+    ex.ring_run.clear();
+    if (cell.ring.TryPopRun(&ex.ring_run,
+                            static_cast<size_t>(options_.quantum)) > 0) {
+      // Observation seam: worker runs are countable under fault testing
+      // (worker threads reach this — count-only, never throws).
+      STATESLICE_FAULT_POINT("shard.worker_run");
+      ex.built->entry->PushRun(&ex.ring_run);
+      ex.rr->RunUntilQuiescent();
+      RelayExits(&ex, shard);
+      const uint64_t processed = ex.rr->total_processed();
+      // lint: allow(atomic-memory-order) -- commutative accounting counter
+      STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("shard.total_add",
+                                             total_processed_,
+                                             processed - ex.reported,
+                                             std::memory_order_relaxed);
+      ex.reported = processed;
       backoff.Reset();
       continue;
     }
-    // Exit once every shard is closed and drained. A shard observed empty
-    // here may still be mid-execution under another worker's token — but
-    // that holder relays its results before releasing, so leaving early
-    // never strands events.
-    bool done = true;
-    for (int s = 0; s < n; ++s) {
-      ShardCell& cell = router_->cell(s);
-      if (!router_->IsClosed(s) || !cell.ring.empty() ||
-          !cell.overflow.empty()) {
-        done = false;
-        break;
-      }
-    }
-    if (done) break;
-    // Futile until the feeder pushes/closes or a token holder drains.
+    if (router_->ClosedAndEmpty(shard)) break;
+    // Futile until the feeder pushes or closes.
     STATESLICE_SYNC_FUTILE("shard.worker_idle");
     backoff.Pause();
   }
@@ -355,7 +262,7 @@ void ShardedScheduler::RunMerge() {
       }
       if (drained) break;
     }
-    // Futile until a token holder relays results or Join publishes close.
+    // Futile until a shard worker relays results or Join publishes close.
     STATESLICE_SYNC_FUTILE("shard.merge_idle");
     backoff.Pause();
   }

@@ -1,23 +1,23 @@
-// Key-partitioned shard-parallel scheduler with bounded work-stealing.
+// Key-partitioned shard-parallel scheduler: one fixed worker per shard.
 //
-// This scheduler splits the *data*, not the plan: a ShardRouter hash-partitions arrivals by equi-join key into
-// N independent replicas of the shared sliced chain (ShardedPlanSet), one
-// worker thread per shard. Each worker drives its replica with the
-// deterministic round-robin scheduler, so all operator code runs exactly
-// as in deterministic mode — the parallelism lives entirely in the
-// routing, the shard ingress rings, and the result merge.
+// This scheduler splits the *data*, not the plan: a ShardRouter
+// hash-partitions arrivals by equi-join key into N independent replicas of
+// the shared sliced chain (ShardedPlanSet), one worker thread per shard.
+// Each worker drives its replica with the deterministic round-robin
+// scheduler, so all operator code runs exactly as in deterministic mode —
+// the parallelism lives entirely in the routing, the shard ingress rings,
+// and the result merge.
 //
-// Skew handling: a loaded shard's input spills from its SPSC ring into an
-// overflow deque of whole EventRuns. Any *idle* worker may execute a
-// loaded shard — it wins the shard's execution token (a CAS; see
-// ShardRouter), becomes the shard's sole executor for a bounded number of
-// runs, and releases the token. Work is always consumed ring-first then
-// overflow-head, preserving per-shard arrival order; stealing migrates the
-// executor, never reorders events. The steal counter reports overflow runs
-// executed by non-owner workers.
+// Worker w owns shard w for its whole life: it is the only consumer of the
+// shard's ingress ring, the only thread that runs the replica, and the only
+// producer of the shard's result rings. It drains the ring run by run,
+// relays the replica's exit queues after each run, and exits once the
+// shard is closed and its ring empty. A full ring makes the feeder wait
+// (ShardRouter::Route), so a hot key serializes on its shard; no other
+// worker ever runs it.
 //
 // Results: each (shard, query) result stream is tapped by an exit queue
-// (ShardedPlanSet::exits); the shard's current executor relays it into a
+// (ShardedPlanSet::exits); the shard's worker relays it into a
 // per-(shard, query) SPSC ring, and a dedicated merge worker drains the
 // rings into the merge plan, whose per-query UnionMerge re-establishes
 // global timestamp order before the authoritative sinks. The shard
@@ -27,12 +27,10 @@
 // Thread roles (checked under Clang -Wthread-safety):
 //  - caller_role_: one thread constructs, feeds (PushEntry*), finishes,
 //    joins, and reads the accounting.
-//  - ShardExec::role: the shard's *current token holder*. Unlike a stage
-//    role it is claimed dynamically: a worker asserts it immediately after
-//    winning the shard's token CAS (the CAS serializes executors, and the
-//    token's release/acquire handoff carries the guarded state).
+//  - ShardExec::role: the shard's one worker, asserted at the top of
+//    RunWorker (and by the constructing thread before any worker exists).
 //  - merge_role_: the merge worker thread.
-// The SPSC rings and steal deques carry their own producer/consumer roles.
+// The SPSC rings carry their own producer/consumer roles.
 #ifndef STATESLICE_RUNTIME_SHARDED_SCHEDULER_H_
 #define STATESLICE_RUNTIME_SHARDED_SCHEDULER_H_
 
@@ -55,15 +53,8 @@ namespace stateslice {
 struct ShardedSchedulerOptions {
   // Per-shard ingress ring capacity, in events.
   size_t ring_capacity = 256;
-  // Per-shard overflow deque capacity, in runs.
-  size_t overflow_capacity = 64;
-  // Events per spilled overflow run — the work-stealing granule.
-  size_t spill_run_length = 64;
   // Round-robin quantum inside each replica, and the ring pop-run bound.
   int quantum = 64;
-  // Max ring pops plus overflow runs one token hold may execute before
-  // releasing. Bounds how long a thief (or the owner) monopolizes a shard.
-  int runs_per_hold = 4;
   // Per-(shard, query) result ring capacity, in events.
   size_t result_ring_capacity = 1024;
 };
@@ -90,17 +81,13 @@ class ShardedScheduler {
   // Launches the shard workers and the merge worker.
   void Start();
 
-  // Routes one event (caller/feeder thread only; blocks on a full
-  // overflow deque — ingestion backpressure).
+  // Routes one event (caller/feeder thread only; waits on a full shard
+  // ring — ingestion backpressure).
   void PushEntry(Event event);
   // Routes a whole run in order, consuming it (cleared on return).
   void PushEntryRun(EventRun* run);
 
-  // Makes everything routed so far visible to the workers (flushes the
-  // router's staged partial spill runs). Call before polling results.
-  void FlushInput();
-
-  // Declares end of input: flushes and closes every shard. Workers drain
+  // Declares end of input: closes every shard. Workers drain
   // and exit; the merge worker follows once the result rings are empty.
   void FinishInput();
 
@@ -116,16 +103,6 @@ class ShardedScheduler {
                                              std::memory_order_relaxed);
   }
 
-  // Overflow runs executed by a worker other than the shard's owner.
-  uint64_t steals() const {
-    // lint: allow(atomic-memory-order) -- stale-snapshot accounting read
-    return STATESLICE_ATOMIC_ACCOUNTING_LOAD("shard.steals", steals_,
-                                             std::memory_order_relaxed);
-  }
-
-  // Runs spilled into overflow deques (work that was stealable at all).
-  uint64_t spilled_runs() const { return router_->spilled_runs(); }
-
   int num_shards() const { return plans_->num_shards(); }
 
   // Aggregate lock-free-edge accounting (ingress rings + result rings),
@@ -134,19 +111,16 @@ class ShardedScheduler {
   size_t edges_high_water_mark() const;
 
  private:
-  // Everything a token holder touches on one shard. The container of
-  // ShardExecs is structurally frozen before workers spawn; workers only
-  // ever index it read-only, and the mutable members are guarded by the
-  // dynamically-claimed exec role.
+  // Everything a shard's worker touches. The container of ShardExecs is
+  // structurally frozen before workers spawn; workers only ever index it
+  // read-only, and the mutable members are guarded by the worker's role.
   struct ShardExec {
-    // Capability of the shard's current token holder; asserted right
-    // after winning the token CAS.
+    // Capability of the shard's one worker.
     ThreadRole role;
     BuiltPlan* built = nullptr;  // the shard replica (frozen wiring)
     std::unique_ptr<RoundRobinScheduler> rr STATESLICE_GUARDED_BY(role);
-    // Scratch runs: ring drain, overflow pop, exit relay.
+    // Scratch runs: ring drain, exit relay.
     EventRun ring_run STATESLICE_GUARDED_BY(role);
-    EventRun overflow_run STATESLICE_GUARDED_BY(role);
     EventRun relay_run STATESLICE_GUARDED_BY(role);
     // rr->total_processed() already folded into total_processed_.
     uint64_t reported STATESLICE_GUARDED_BY(role) = 0;
@@ -154,12 +128,10 @@ class ShardedScheduler {
     std::vector<std::unique_ptr<SpscQueue<Event>>> results;
   };
 
-  void RunWorker(int worker);
+  // Worker loop of shard `shard`: drain, run, relay until closed + empty.
+  void RunWorker(int shard);
   void RunMerge();
-  // Executes up to runs_per_hold ring/overflow runs on `shard` if its
-  // token can be won. Returns true when any events were executed.
-  bool TryProcessShard(int shard, int worker);
-  // Drains the shard's exit taps into its result rings. Token holder only.
+  // Drains the shard's exit taps into its result rings. Shard worker only.
   void RelayExits(ShardExec* ex, int shard) STATESLICE_REQUIRES(ex->role);
 
   ShardedPlanSet* const plans_;
@@ -178,7 +150,6 @@ class ShardedScheduler {
   std::atomic<uint32_t> merge_close_{0};
 
   std::atomic<uint64_t> total_processed_{0};
-  std::atomic<uint64_t> steals_{0};
 
   std::vector<std::thread> worker_threads_ STATESLICE_GUARDED_BY(caller_role_);
   std::thread merge_thread_ STATESLICE_GUARDED_BY(caller_role_);

@@ -6,7 +6,7 @@
 // classic head/tail ring with acquire/release ordering suffices — no
 // locks, no CAS loops. Capacity is bounded, which is what gives the
 // workers backpressure: a producer whose downstream ring is full must wait
-// (spin/yield) or spill until the consumer catches up.
+// (spin/yield) until the consumer catches up.
 //
 // The queue keeps the same accounting as the deterministic EventQueue
 // (high_water_mark / total_pushed) so queue-memory reporting works in both

@@ -200,7 +200,7 @@ TEST(BatchEquivalenceTest, BinaryChainMatrix) {
 
 // Equi-key rekeys of both matrices: identical claims, plus the sharded
 // arm (key partitioning requires equi-key). Zipf skew on the binary one
-// pushes the hot shard through its overflow/steal machinery.
+// drives the hot shard's ring into backpressure.
 TEST(BatchEquivalenceTest, BinaryChainEquiKeyMatrix) {
   WorkloadSpec spec;
   spec.rate_a = spec.rate_b = 40;

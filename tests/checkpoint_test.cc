@@ -397,6 +397,10 @@ TEST(CheckpointTest, CorruptSnapshotsRejectWithDiagnosticsAndPoison) {
   flipped_magic[0] = 'X';
   std::string flipped_version = body;
   flipped_version[5] = '\x7f';
+  // The version is a little-endian u32 after the 4-byte magic; a v3
+  // snapshot must fail the version check, not decode as v4.
+  std::string v3 = body;
+  v3[4] = '\x03';
   std::string bitflip = snapshot;
   bitflip[snapshot.size() / 2] =
       static_cast<char>(bitflip[snapshot.size() / 2] ^ 0x40);
@@ -407,6 +411,7 @@ TEST(CheckpointTest, CorruptSnapshotsRejectWithDiagnosticsAndPoison) {
       {"bitflip", bitflip, "checksum"},
       {"bad-magic", Resealed(flipped_magic), "magic"},
       {"bad-version", Resealed(flipped_version), "version"},
+      {"v3-snapshot", Resealed(v3), "unsupported snapshot version 3"},
       {"trailing-garbage", Resealed(body + std::string(8, '\0')),
        "trailing garbage"},
   };
@@ -797,7 +802,7 @@ TEST(CheckpointTest, DoubleFinishIsIdempotent) {
   EXPECT_EQ(engine.ResultCount(h), delivered);
 }
 
-// ------------------------------------------------------ v3 wire-format pins
+// ------------------------------------------------------ v4 wire-format pins
 
 // Registers `queries`, pushes the first half of `merged` (all of it, then
 // Finish, when `finish` is set) and returns the snapshot.
@@ -862,6 +867,24 @@ TEST(CheckpointWireTest, RestoreThenCheckpointIsByteIdentical) {
   ExpectReencodesIdentically(BaseOptions(workload),
                              SnapshotOf(BaseOptions(workload), {}, merged),
                              "idle engine");
+
+  // A chain whose middle slice was split in place: the migration-created
+  // joins must re-encode like any other (no operator names on the wire).
+  {
+    Engine split(BaseOptions(workload));
+    ASSERT_TRUE(split.RegisterQuery(PlainQuery(2, "Q1")).valid());
+    ASSERT_TRUE(split.RegisterQuery(PlainQuery(6, "Q2")).valid());
+    const size_t mid = StrictIncreaseAt(merged, merged.size() / 3);
+    PushRange(&split, merged, 0, mid);
+    // 4 s falls inside the [2 s, 6 s) slice: an in-place split.
+    ASSERT_TRUE(split.RegisterQuery(PlainQuery(4, "Q3")).valid());
+    ASSERT_EQ(split.migrations(), 1u);
+    PushRange(&split, merged, mid, merged.size() / 2);
+    std::string snapshot;
+    ASSERT_TRUE(split.Checkpoint(&snapshot)) << split.last_error();
+    ExpectReencodesIdentically(BaseOptions(workload), snapshot,
+                               "split-migrated chain");
+  }
   ExpectReencodesIdentically(
       BaseOptions(workload),
       SnapshotOf(BaseOptions(workload), chain, merged, /*finish=*/true),
@@ -886,7 +909,7 @@ TEST(CheckpointWireTest, MultiwayAndShardedReencodeIdentically) {
       tree, SnapshotOf(tree, {m1, m2}, MergedArrivals(three)),
       "multi-way tree");
 
-  // Sharded bytes carry timing-dependent steal/edge accumulators, so only
+  // Sharded bytes carry timing-dependent edge accumulators, so only
   // restore-then-checkpoint (no workers ran in between) is pinned.
   Workload equi = SmallWorkload(73, 8);
   RekeyForEquiJoin(&equi, /*key_domain=*/16, /*seed=*/73);
@@ -900,7 +923,7 @@ TEST(CheckpointWireTest, MultiwayAndShardedReencodeIdentically) {
       "sharded engine");
 }
 
-// (size, CRC-32 of everything before the trailing checksum) of a v3
+// (size, CRC-32 of everything before the trailing checksum) of a v4
 // snapshot. The workloads come from the library's own xoshiro generator,
 // so the bytes are reproducible; a change here means the wire format
 // moved and kCheckpointVersion must move with it.
@@ -908,7 +931,7 @@ std::pair<size_t, uint32_t> Pin(const std::string& snapshot) {
   return {snapshot.size(), Crc32(snapshot.substr(0, snapshot.size() - 4))};
 }
 
-TEST(CheckpointWireTest, GoldenV3Snapshots) {
+TEST(CheckpointWireTest, GoldenV4Snapshots) {
   const Workload workload = SmallWorkload(79, 10);
   const std::vector<Tuple> merged = MergedArrivals(workload);
 
@@ -929,7 +952,7 @@ TEST(CheckpointWireTest, GoldenV3Snapshots) {
   ASSERT_EQ(churned.rebuilds(), 0u);
   std::string snapshot;
   ASSERT_TRUE(churned.Checkpoint(&snapshot)) << churned.last_error();
-  EXPECT_EQ(Pin(snapshot), std::make_pair(size_t{72445}, uint32_t{3717678529}))
+  EXPECT_EQ(Pin(snapshot), std::make_pair(size_t{72396}, uint32_t{828694783}))
       << "churned chain";
 
   Engine::Options pull_up = BaseOptions(workload);
@@ -938,7 +961,7 @@ TEST(CheckpointWireTest, GoldenV3Snapshots) {
                                            PlainQuery(5, "P2")};
   filtered[0].selection_a = Predicate::GreaterThan(0.3);
   EXPECT_EQ(Pin(SnapshotOf(pull_up, filtered, merged)),
-            std::make_pair(size_t{43978}, uint32_t{3919761165}))
+            std::make_pair(size_t{43947}, uint32_t{3868372908}))
       << "pull-up plan";
 }
 

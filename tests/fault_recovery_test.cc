@@ -328,7 +328,7 @@ TEST(FaultRecoveryTest, CrashInsideRestoreLeavesPoisonNotCorruption) {
 }
 
 TEST(FaultRecoveryTest, WorkerSeamCountsAccumulate) {
-  // The worker-thread seams (shard ingress, shard token handoff) are
+  // The shard seams (caller-side ingress, worker-side runs) are
   // count-only; prove they are live in a fault build by observing counts
   // from a sharded run.
   WorkloadSpec spec;
@@ -353,7 +353,7 @@ TEST(FaultRecoveryTest, WorkerSeamCountsAccumulate) {
     for (const Tuple& t : merged) engine.Push(t.side, t);
     engine.Finish();
     EXPECT_GT(injector.count("shard.push_entry"), 0u);
-    EXPECT_GT(injector.count("shard.token_handoff"), 0u);
+    EXPECT_GT(injector.count("shard.worker_run"), 0u);
   }
 }
 

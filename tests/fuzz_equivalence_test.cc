@@ -178,8 +178,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzMigrationTest,
 // domains, and both run-length settings. The deterministic Engine is the
 // reference; both must equal the oracle. Key partitioning requires
 // equi-key predicates, so every workload is rekeyed (the uniform-key
-// model of RekeyForEquiJoin, or Zipf(1.1) skew on odd seeds — skew drives
-// one shard's ring into overflow, exercising the spill/steal path).
+// model of RekeyForEquiJoin, or Zipf(1.1) skew on odd seeds — skew fills
+// one shard's ring, exercising ingestion backpressure).
 class ShardedFuzzEquivalenceTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -218,7 +218,7 @@ TEST_P(ShardedFuzzEquivalenceTest, ShardedMatchesDeterministicAndOracle) {
   const int shard_counts[] = {1, 2, 8};
   options.shard_count = shard_counts[(seed / 3) % 3];
   options.run_length = seed % 2 == 0 ? 0 : 16;
-  // Small rings on some seeds so spill (and possibly steal) paths run.
+  // Small rings on some seeds so the feeder waits on full rings.
   options.parallel_edge_capacity = seed % 4 == 0 ? 16 : 256;
   Engine sharded(options);
   std::vector<QueryHandle> shard_handles;

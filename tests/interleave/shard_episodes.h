@@ -1,22 +1,14 @@
-// Sharded-runtime episodes for the interleave explorer: the router's
-// ring-then-overflow spill discipline (feeder vs one worker, exhaustive
-// DFS) and the execution-token handoff between competing workers
-// (feeder vs two thieves, PCT).
+// Sharded-runtime episode for the interleave explorer: one shard's ingress
+// lane, feeder vs the shard's one worker.
 //
-// Episode 1 (spill): the feeder routes keyed events into a one-shard
-// router with a tiny ring and a tiny overflow deque, so events spill as
-// single-event runs and the deque wraps around. The worker repeatedly
-// wins the shard token and drains ring-first-then-overflow-head. The
-// post-invariant is the FIFO claim from shard_router.h: the worker must
-// consume exactly timestamps 0..items-1 in order, across every schedule.
-// This drives the StealDeque index publications (seeded bugs 4 and 6).
-//
-// Episode 2 (token): two workers contend for the single shard's token.
-// The holder drains the shard and advances a shared consumption cursor
-// whose accesses are modeled plain reads/writes — exactly the shard-local
-// state (plan state, consumer caches) the token handoff must carry. A
-// weakened token release (seeded bug 5) severs the happens-before edge
-// and surfaces as a modeled data race on the cursor.
+// The feeder routes keyed events into a one-shard router with a tiny ring
+// (so it meets the route_backpressure wait whenever the worker lags) and
+// then closes the shard. The worker follows ShardedScheduler::RunWorker:
+// pop a run from the ring, else exit once ShardRouter::ClosedAndEmpty
+// holds, else go idle. The post-invariant: the worker consumed exactly
+// timestamps 0..items-1, in order, before it exited. Weakening the close
+// flag's release store (seeded bug 7) lets the worker pair the close with
+// a stale empty ring and exit early — the lost event the catch test finds.
 #ifndef STATESLICE_TESTS_INTERLEAVE_SHARD_EPISODES_H_
 #define STATESLICE_TESTS_INTERLEAVE_SHARD_EPISODES_H_
 
@@ -26,39 +18,25 @@
 #include <vector>
 
 #include "src/common/tuple.h"
+#include "src/runtime/queue.h"
 #include "src/runtime/shard_router.h"
 #include "tests/interleave/interleave_scheduler.h"
 
 namespace stateslice::interleave {
 
-inline Tuple ShardEpisodeTuple(TimePoint ts) {
-  Tuple t;
-  t.key = 0;  // one shard: every key lands on it anyway
-  t.timestamp = ts;
-  return t;
-}
-
-struct ShardSpillEpisodeConfig {
-  int items = 5;
+struct ShardLaneEpisodeConfig {
+  int items = 3;
   size_t ring_capacity = 2;
-  // Two-run deque + single-event runs: pushing items beyond the ring
-  // wraps the deque indices, so a reused slot races a stale top_ read if
-  // the publication orders are weakened.
-  size_t overflow_capacity = 2;
-  size_t spill_run_length = 1;
+  // Per-pop run bound of the worker (production: the quantum).
+  size_t pop_run = 2;
 };
 
-// Feeder (t0) routes + closes; worker (t1) wins the token per hold and
-// drains ring-first-then-overflow-head. Returns "" or the violated
-// post-invariant.
-inline std::string RunShardSpillEpisode(InterleaveScheduler* sched,
-                                        const ShardSpillEpisodeConfig& cfg) {
-  ShardRouterOptions options;
-  options.num_shards = 1;
-  options.ring_capacity = cfg.ring_capacity;
-  options.overflow_capacity = cfg.overflow_capacity;
-  options.spill_run_length = cfg.spill_run_length;
-  ShardRouter router(options);
+// Feeder (t0) routes + closes; worker (t1) drains until closed and empty.
+// Returns "" or the violated post-invariant.
+inline std::string RunShardLaneEpisode(InterleaveScheduler* sched,
+                                       const ShardLaneEpisodeConfig& cfg) {
+  ShardRouter router(ShardRouterOptions{.num_shards = 1,
+                                        .ring_capacity = cfg.ring_capacity});
   std::vector<TimePoint> consumed;
   sched->ExpectThreads(2);
 
@@ -67,7 +45,10 @@ inline std::string RunShardSpillEpisode(InterleaveScheduler* sched,
     // By construction this thread is the router's single feeder.
     router.AssertFeeder();
     for (int i = 0; i < cfg.items; ++i) {
-      router.Route(Event(ShardEpisodeTuple(i)));
+      Tuple t;
+      t.key = i;  // one shard: every key lands on it
+      t.timestamp = i;
+      router.Route(Event(t));
     }
     router.CloseAll();
     sched->ThreadEnd();
@@ -76,50 +57,21 @@ inline std::string RunShardSpillEpisode(InterleaveScheduler* sched,
   std::thread worker([&] {
     sched->ThreadBegin(1);
     ShardCell& cell = router.cell(0);
-    // Single worker: win the token once and hold it for the whole drain
-    // (production holds it across a processing quantum). Crucially the
-    // no-progress path below performs only loads before going futile —
-    // a store there would re-wake every futile thread and the
-    // exploration would never converge.
-    if (!router.TryAcquireToken(0, /*worker=*/0)) {
-      sched->ReportExternalViolation("sole worker lost the token CAS");
-      sched->ThreadEnd();
-      return;
-    }
-    // The token makes this thread the shard's sole consumer.
+    // The shard's one worker is its ring's sole consumer.
     cell.ring.AssertConsumer();
-    cell.overflow.AssertConsumer();
+    EventRun run;
     for (;;) {
-      bool progress = false;
-      Event event;
-      while (cell.ring.TryPop(&event)) {
-        consumed.push_back(EventTime(event));
-        progress = true;
+      run.clear();
+      if (cell.ring.TryPopRun(&run, cfg.pop_run) > 0) {
+        for (const Event& e : run) consumed.push_back(EventTime(e));
+        continue;
       }
-      // Consumer discipline (shard_router.h): a lone ring-empty read may
-      // be stale, so pop the overflow only after a non-empty acquire
-      // snapshot AND a ring re-check — the snapshot synchronizes with
-      // the spill publication, making older ring events visible.
-      while (!cell.overflow.empty()) {
-        if (cell.ring.TryPop(&event)) {
-          consumed.push_back(EventTime(event));
-          progress = true;
-          continue;
-        }
-        EventRun run;
-        if (cell.overflow.TryPopFront(&run)) {
-          for (Event& e : run) consumed.push_back(EventTime(e));
-          progress = true;
-        }
-      }
-      if (progress) continue;
-      if (router.IsClosed(0) && cell.ring.empty() &&
-          cell.overflow.empty()) {
-        break;
-      }
-      sched->Futile("shard_ep.drain_idle");
+      // The no-progress path performs only loads before going futile: a
+      // store there would re-wake every futile thread and the exploration
+      // would never converge.
+      if (router.ClosedAndEmpty(0)) break;
+      sched->Futile("shard_ep.worker_idle");
     }
-    router.ReleaseToken(0);
     sched->ThreadEnd();
   });
 
@@ -127,133 +79,15 @@ inline std::string RunShardSpillEpisode(InterleaveScheduler* sched,
   worker.join();
 
   if (consumed.size() != static_cast<size_t>(cfg.items)) {
-    return "lost events: consumed " + std::to_string(consumed.size()) +
-           " of " + std::to_string(cfg.items);
+    return "lost events: the worker exited after consuming " +
+           std::to_string(consumed.size()) + " of " +
+           std::to_string(cfg.items);
   }
   for (size_t i = 0; i < consumed.size(); ++i) {
     if (consumed[i] != static_cast<TimePoint>(i)) {
-      return "FIFO violation across ring/overflow: consumed[" +
-             std::to_string(i) + "] = " + std::to_string(consumed[i]) +
-             ", expected " + std::to_string(i);
+      return "order violation: consumed[" + std::to_string(i) + "] = " +
+             std::to_string(consumed[i]) + ", expected " + std::to_string(i);
     }
-  }
-  return "";
-}
-
-struct ShardTokenEpisodeConfig {
-  int items = 4;
-  size_t ring_capacity = 2;
-  size_t overflow_capacity = 2;
-  size_t spill_run_length = 1;
-};
-
-// Stable id for the feeder (the two workers take 0 and 1).
-inline constexpr int kShardFeederTid = 100;
-
-// Feeder (t100) routes + closes; workers 0 and 1 contend for the single
-// shard's token. The holder drains the shard and advances `cursor`, the
-// modeled stand-in for every piece of shard-local state (plan state,
-// consumer-side caches) the token's release/acquire handoff must carry
-// between successive holders.
-inline std::string RunShardTokenEpisode(InterleaveScheduler* sched,
-                                        const ShardTokenEpisodeConfig& cfg) {
-  ShardRouterOptions options;
-  options.num_shards = 1;
-  options.ring_capacity = cfg.ring_capacity;
-  options.overflow_capacity = cfg.overflow_capacity;
-  options.spill_run_length = cfg.spill_run_length;
-  ShardRouter router(options);
-  // Token-guarded shared state: next expected timestamp + order flag.
-  uint64_t cursor = 0;
-  bool out_of_order = false;
-  sched->ExpectThreads(3);
-
-  std::thread feeder([&] {
-    sched->ThreadBegin(kShardFeederTid);
-    router.AssertFeeder();
-    for (int i = 0; i < cfg.items; ++i) {
-      router.Route(Event(ShardEpisodeTuple(i)));
-    }
-    router.CloseAll();
-    sched->ThreadEnd();
-  });
-
-  auto worker_body = [&](uint32_t me) {
-    sched->ThreadBegin(static_cast<int>(me));
-    ShardCell& cell = router.cell(0);
-    for (;;) {
-      // Load-only guard before touching the token: acquiring (a store)
-      // on an idle shard would re-wake every futile thread and the
-      // exploration would never converge. Work visible -> contend. The
-      // closed flag is read FIRST (production's exit check does the same
-      // via && short-circuit): the close-acquire makes the subsequent
-      // emptiness reads authoritative — the other order can pair a stale
-      // ring-empty view with a fresh close and strand the last event.
-      const bool closed = router.IsClosed(0);
-      if (cell.ring.empty() && cell.overflow.empty()) {
-        if (closed) break;
-        sched->Futile("shard_ep.idle");
-        continue;
-      }
-      if (!router.TryAcquireToken(0, me)) {
-        // Lost the CAS: the other worker is executing this shard.
-        sched->Futile("shard_ep.token_wait");
-        continue;
-      }
-      // Sole executor for this hold: consumer of both lanes and the
-      // rightful reader/writer of the token-guarded cursor. Hold until
-      // progress (or done): releasing on a stale no-progress view and
-      // re-acquiring would store-loop the same way.
-      cell.ring.AssertConsumer();
-      cell.overflow.AssertConsumer();
-      for (;;) {
-        bool progress = false;
-        auto consume = [&](TimePoint ts) {
-          STATESLICE_SYNC_PLAIN_READ("shard_ep.cursor", &cursor);
-          if (static_cast<uint64_t>(ts) != cursor) out_of_order = true;
-          STATESLICE_SYNC_PLAIN_WRITE("shard_ep.cursor", &cursor);
-          ++cursor;
-          progress = true;
-        };
-        Event event;
-        while (cell.ring.TryPop(&event)) consume(EventTime(event));
-        // Same ring re-check discipline as production (shard_router.h):
-        // pop the overflow only behind a non-empty acquire snapshot.
-        while (!cell.overflow.empty()) {
-          if (cell.ring.TryPop(&event)) {
-            consume(EventTime(event));
-            continue;
-          }
-          EventRun run;
-          if (cell.overflow.TryPopFront(&run)) {
-            for (Event& e : run) consume(EventTime(e));
-          }
-        }
-        if (progress) break;
-        if (router.IsClosed(0) && cell.ring.empty() &&
-            cell.overflow.empty()) {
-          break;
-        }
-        sched->Futile("shard_ep.hold_idle");
-      }
-      router.ReleaseToken(0);
-    }
-    sched->ThreadEnd();
-  };
-  std::thread worker_a([&] { worker_body(0); });
-  std::thread worker_b([&] { worker_body(1); });
-
-  feeder.join();
-  worker_a.join();
-  worker_b.join();
-
-  if (out_of_order) {
-    return "token handoff lost order: a holder observed a timestamp "
-           "ahead of the shared cursor";
-  }
-  if (cursor != static_cast<uint64_t>(cfg.items)) {
-    return "lost events: cursor " + std::to_string(cursor) + " of " +
-           std::to_string(cfg.items);
   }
   return "";
 }

@@ -1,12 +1,9 @@
-// Interleave exploration of the sharded runtime's steal protocol.
+// Interleave exploration of the sharded runtime's ingress lane.
 //
-// The 2-thread spill episodes (feeder vs token-holding worker) run under
+// The 2-thread lane episodes (feeder vs the shard's one worker) run under
 // exhaustive bounded-preemption DFS, same regime as the SpscQueue suite:
-// every schedule must preserve the ring-then-overflow FIFO claim. The
-// 3-thread token-contention episodes (feeder vs two workers racing the
-// shard's execution token) are beyond DFS reach, so they sweep PCT
-// schedules across many seeds; a failure prints the seed for replay with
-//   STATESLICE_INTERLEAVE_SEED=<seed> ./shard_interleave_test
+// every schedule must deliver every routed event, in order, before the
+// worker exits.
 #include "tests/interleave/shard_episodes.h"
 
 #include <gtest/gtest.h>
@@ -18,9 +15,8 @@ namespace {
 
 constexpr uint64_t kMaxEpisodes = 4000000;
 
-// The wrap/backpressure episode's DFS tree is large; per-commit it runs
-// at preemption bound 1 (still exhaustive at that bound) and nightly
-// builds raise every bound by the scale factor for the deeper sweep.
+// Per-commit bounds stay exhaustive; nightly builds raise every bound by
+// the scale factor for the deeper sweep.
 InterleaveScheduler::Options BoundedOptions(int base_bound) {
   InterleaveScheduler::Options options;
   options.preemption_bound =
@@ -28,11 +24,11 @@ InterleaveScheduler::Options BoundedOptions(int base_bound) {
   return options;
 }
 
-void ExpectCleanExhaustiveDfs(const ShardSpillEpisodeConfig& cfg,
+void ExpectCleanExhaustiveDfs(const ShardLaneEpisodeConfig& cfg,
                               int base_bound) {
   const DfsResult result = ExploreDfs(
       [&cfg](InterleaveScheduler* sched) {
-        return RunShardSpillEpisode(sched, cfg);
+        return RunShardLaneEpisode(sched, cfg);
       },
       kMaxEpisodes, BoundedOptions(base_bound));
   EXPECT_TRUE(result.exhausted)
@@ -46,56 +42,23 @@ void ExpectCleanExhaustiveDfs(const ShardSpillEpisodeConfig& cfg,
                                   static_cast<int>(result.episodes));
 }
 
-void ExpectCleanPct(const ShardTokenEpisodeConfig& cfg, uint64_t base_seed,
-                    uint64_t num_seeds, int depth) {
-  bool has_override = false;
-  const uint64_t override_seed = EnvSeedOverride(&has_override);
-  if (has_override) {
-    base_seed = override_seed;
-    num_seeds = 1;
-  } else {
-    num_seeds *= EnvNightlyScale();
-  }
-  const PctResult result = ExplorePct(
-      [&cfg](InterleaveScheduler* sched) {
-        return RunShardTokenEpisode(sched, cfg);
-      },
-      base_seed, num_seeds, depth);
-  ASSERT_TRUE(result.violations.empty())
-      << "seed " << result.failing_seed
-      << " (replay: STATESLICE_INTERLEAVE_SEED=" << result.failing_seed
-      << "): " << result.violations[0].reason << "\n"
-      << result.violations[0].trace;
-  EXPECT_EQ(result.episodes, num_seeds);
+TEST(ShardInterleaveDfsTest, RouteDrainClose) {
+  // Two events into a two-event ring: no backpressure, so the close races
+  // the worker's first pops directly.
+  ExpectCleanExhaustiveDfs({.items = 2}, /*base_bound=*/2);
 }
 
-TEST(ShardInterleaveDfsTest, SpillWrapsAndBackpressures) {
-  // Ring 2 + two-run deque + single-event runs: items 3-5 spill as three
-  // runs, so the deque indices wrap (slot reuse races a stale top_ read
-  // if either index publication is weakened) and the third run hits the
-  // route_backpressure futility whenever the worker lags. Preemption
-  // bound 1 per-commit — the bound-2 tree is ~4M schedules (nightly).
-  ExpectCleanExhaustiveDfs({.items = 5}, /*base_bound=*/1);
+TEST(ShardInterleaveDfsTest, BackpressureThenClose) {
+  // Four events through a two-event ring: the feeder meets the
+  // route_backpressure wait whenever the worker lags, and the close lands
+  // behind a wrapped ring. Preemption bound 1 per-commit — the bound-2
+  // tree takes minutes (nightly).
+  ExpectCleanExhaustiveDfs({.items = 4, .pop_run = 1}, /*base_bound=*/1);
 }
 
-TEST(ShardInterleaveDfsTest, SpillRunsOfTwo) {
-  // Two-event spill runs: a partial staged run rides on CloseAll's
-  // final flush and run-granular pops interleave with ring pops.
-  ExpectCleanExhaustiveDfs({.items = 6, .spill_run_length = 2},
+TEST(ShardInterleaveDfsTest, RunPopsAcrossTheWrap) {
+  ExpectCleanExhaustiveDfs({.items = 4, .ring_capacity = 4, .pop_run = 3},
                            /*base_bound=*/2);
-}
-
-TEST(ShardInterleavePctTest, TokenContentionManySeeds) {
-  // Two workers race the CAS for one shard's token; every handoff must
-  // carry the shared cursor (release/acquire) or the model reports a
-  // race. Priority inversions injected at depth 3.
-  ExpectCleanPct({.items = 4}, /*base_seed=*/3000, /*num_seeds=*/60,
-                 /*depth=*/3);
-}
-
-TEST(ShardInterleavePctTest, TokenContentionWithSpills) {
-  ExpectCleanPct({.items = 6, .spill_run_length = 2},
-                 /*base_seed=*/4000, /*num_seeds=*/40, /*depth=*/4);
 }
 
 }  // namespace

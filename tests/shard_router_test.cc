@@ -1,10 +1,10 @@
-// ShardRouter: key-affinity routing, punctuation broadcast, the
-// ring-then-overflow FIFO spill discipline, the execution token, and the
-// close protocol of the sharded execution mode.
+// ShardRouter: key-affinity routing, punctuation broadcast, and the close
+// protocol of the sharded execution mode.
 #include "src/runtime/shard_router.h"
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "src/common/tuple.h"
@@ -19,19 +19,13 @@ Tuple KeyedTuple(int64_t key, TimePoint ts) {
   return t;
 }
 
-// Drains one shard ring-first-then-overflow-head — the consumer
-// discipline every worker follows — returning the event timestamps.
+// Drains one shard's ring, returning the event timestamps.
 std::vector<TimePoint> DrainShard(ShardRouter* router, int shard) {
   ShardCell& cell = router->cell(shard);
   std::vector<TimePoint> times;
-  cell.ring.AssertConsumer();      // single-threaded test: sole consumer
-  cell.overflow.AssertConsumer();  // ... and (modeled) token holder
+  cell.ring.AssertConsumer();  // single-threaded test: sole consumer
   Event event;
   while (cell.ring.TryPop(&event)) times.push_back(EventTime(event));
-  EventRun run;
-  while (cell.overflow.TryPopFront(&run)) {
-    for (Event& e : run) times.push_back(EventTime(e));
-  }
   return times;
 }
 
@@ -52,7 +46,6 @@ TEST(ShardRouterTest, KeyAffinityAndCounts) {
   for (TimePoint t = 0; t < 100; ++t) {
     router.Route(Event(KeyedTuple(t % 16, t)));
   }
-  router.FlushPending();
   uint64_t routed = 0;
   for (int s = 0; s < 4; ++s) routed += router.routed(s);
   EXPECT_EQ(routed, 100u);
@@ -77,7 +70,6 @@ TEST(ShardRouterTest, PunctuationsBroadcastToEveryShard) {
 
   router.Route(Event(KeyedTuple(7, 1)));
   router.Route(Event(Punctuation{.watermark = 5}));
-  router.FlushPending();
 
   int punctuations = 0;
   for (int s = 0; s < 3; ++s) {
@@ -91,73 +83,59 @@ TEST(ShardRouterTest, PunctuationsBroadcastToEveryShard) {
   EXPECT_EQ(punctuations, 3);
 }
 
-TEST(ShardRouterTest, SpillKeepsFifoAcrossRingAndOverflow) {
-  // One shard, a 4-event ring, 2-event spill runs: events 0..3 fill the
-  // ring, 4.. spill. The drain discipline must see 0,1,2,...,N-1 exactly.
+TEST(ShardRouterTest, FullRingWaitsForTheWorker) {
+  // A 4-event ring and 200 events: the feeder must wait on the full ring
+  // until the worker thread pops, and the worker sees every event in order.
   ShardRouterOptions options;
   options.num_shards = 1;
   options.ring_capacity = 4;
-  options.overflow_capacity = 16;
-  options.spill_run_length = 2;
   ShardRouter router(options);
-  router.AssertFeeder();
+  constexpr TimePoint kEvents = 200;
 
-  constexpr TimePoint kEvents = 20;
+  std::vector<TimePoint> times;
+  std::thread worker([&] {
+    ShardCell& cell = router.cell(0);
+    cell.ring.AssertConsumer();  // the one consumer thread of this test
+    Event event;
+    while (!router.ClosedAndEmpty(0)) {
+      while (cell.ring.TryPop(&event)) times.push_back(EventTime(event));
+    }
+  });
+  router.AssertFeeder();  // the test thread is the single feeder
   for (TimePoint t = 0; t < kEvents; ++t) {
-    router.Route(Event(KeyedTuple(0, t)));
+    router.Route(Event(KeyedTuple(t, t)));
   }
-  router.FlushPending();
-  EXPECT_GT(router.spilled_runs(), 0u);
+  router.CloseAll();
+  worker.join();
 
-  const std::vector<TimePoint> times = DrainShard(&router, 0);
   ASSERT_EQ(times.size(), static_cast<size_t>(kEvents));
   for (TimePoint t = 0; t < kEvents; ++t) {
     EXPECT_EQ(times[static_cast<size_t>(t)], t);
   }
-
-  // Once the overflow drained, routing returns to the ring lane.
-  router.Route(Event(KeyedTuple(0, kEvents)));
-  router.FlushPending();
-  ShardCell& cell = router.cell(0);
-  EXPECT_EQ(cell.ring.size(), 1u);
-  EXPECT_TRUE(cell.overflow.empty());
+  EXPECT_EQ(router.cell(0).ring.high_water_mark(), 4u);
 }
 
-TEST(ShardRouterTest, ExecutionTokenSerializesHolders) {
+TEST(ShardRouterTest, CloseAllClosesAndDrainEnds) {
   ShardRouterOptions options;
   options.num_shards = 2;
-  ShardRouter router(options);
-
-  EXPECT_TRUE(router.TryAcquireToken(0, /*worker=*/0));
-  EXPECT_FALSE(router.TryAcquireToken(0, /*worker=*/1));  // held
-  EXPECT_TRUE(router.TryAcquireToken(1, /*worker=*/1));   // other shard free
-  router.ReleaseToken(0);
-  EXPECT_TRUE(router.TryAcquireToken(0, /*worker=*/1));  // released
-  router.ReleaseToken(0);
-  router.ReleaseToken(1);
-}
-
-TEST(ShardRouterTest, CloseAllFlushesAndCloses) {
-  ShardRouterOptions options;
-  options.num_shards = 2;
-  options.ring_capacity = 2;
-  options.spill_run_length = 8;
+  options.ring_capacity = 8;
   ShardRouter router(options);
   router.AssertFeeder();
 
-  // Leave a partial staged run behind, then close: the close must flush it.
-  for (TimePoint t = 0; t < 5; ++t) {
-    router.Route(Event(KeyedTuple(router.ShardOf(0) == 0 ? 0 : 1, t)));
-  }
+  // Route to one shard, then close: the shard stays live until drained.
+  const int shard = router.ShardOf(0);
+  for (TimePoint t = 0; t < 5; ++t) router.Route(Event(KeyedTuple(0, t)));
   EXPECT_FALSE(router.IsClosed(0));
   EXPECT_FALSE(router.IsClosed(1));
   router.CloseAll();
   EXPECT_TRUE(router.IsClosed(0));
   EXPECT_TRUE(router.IsClosed(1));
+  EXPECT_FALSE(router.ClosedAndEmpty(shard));
+  EXPECT_TRUE(router.ClosedAndEmpty(1 - shard));
 
-  size_t drained = 0;
-  for (int s = 0; s < 2; ++s) drained += DrainShard(&router, s).size();
-  EXPECT_EQ(drained, 5u);
+  EXPECT_EQ(DrainShard(&router, shard),
+            (std::vector<TimePoint>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(router.ClosedAndEmpty(shard));
 }
 
 }  // namespace

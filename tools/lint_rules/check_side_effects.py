@@ -4,7 +4,8 @@ SLICE_CHECK expressions must be side-effect-free: the STATESLICE_STRIP_CHECKS
 build compiles the expression unevaluated (src/common/check.h), so a check
 like SLICE_CHECK(q.Pop()) would silently change program behaviour between
 checked and stripped builds. Flags increments/decrements, assignments, and
-calls to known mutating members inside any SLICE_CHECK* argument list.
+calls to known mutating members (container and queue mutators, and the
+Engine calls that change a session) inside any SLICE_CHECK* argument list.
 """
 
 import re
@@ -25,7 +26,9 @@ _SIDE_EFFECTS = [
     (re.compile(r"(?<![=!<>+\-*/%&|^])=(?!=)"), "assignment"),
     (re.compile(
         r"(?:\.|->)(?:push_back|push_front|pop_back|pop_front|emplace\w*|"
-        r"insert|erase|clear|reset|release|Push|Pop|Take\w*)\s*\("),
+        r"insert|erase|clear|reset|release|Push|Pop|Take\w*|"
+        r"RegisterQuery|UnregisterQuery|Checkpoint|Restore|Subscribe|"
+        r"Unsubscribe|PushBatch)\s*\("),
      "mutating call"),
 ]
 

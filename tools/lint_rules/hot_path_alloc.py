@@ -28,7 +28,6 @@ HOT_FILES = {
     "src/runtime/queue.h",
     "src/runtime/scheduler.cc",
     "src/runtime/spsc_queue.h",
-    "src/runtime/steal_deque.h",
     "src/runtime/shard_router.h",
     "src/runtime/shard_router.cc",
     "src/runtime/sharded_scheduler.cc",

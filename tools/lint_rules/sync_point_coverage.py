@@ -23,7 +23,6 @@ FIXTURE_RELPATH = "src/runtime/spsc_queue.h"
 LOCKFREE_FILES = {
     "src/common/fault_point.h",
     "src/runtime/spsc_queue.h",
-    "src/runtime/steal_deque.h",
     "src/runtime/shard_router.h",
     "src/runtime/shard_router.cc",
     "src/runtime/sharded_scheduler.h",
