@@ -160,6 +160,7 @@ void BM_EndToEndStateSlicePlan(benchmark::State& state) {
     options.condition = workload.condition;
     BuiltPlan built =
         BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+    AttachQuerySinks(&built);
     state.ResumeTiming();
     benchmark::DoNotOptimize(
         ReplayArrivals(built.plan.get(), built.entry, arrivals));

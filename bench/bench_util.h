@@ -115,12 +115,13 @@ inline BenchRun RunBench(const Engine::Options& options,
 }
 
 // Builder-level arm for plans the Engine deliberately does not build:
-// replays `arrivals` through `built` with ReplayArrivals and reads the
-// plan's counters and sinks. No memory is sampled and no warm-up cost is
-// taken, so the state and steady-state fields are NaN (null in the JSON
-// report: not measured).
+// attaches the query sinks, replays `arrivals` through `built` with
+// ReplayArrivals and reads the plan's counters and sinks. No memory is
+// sampled and no warm-up cost is taken, so the state and steady-state
+// fields are NaN (null in the JSON report: not measured).
 inline BenchRun RunBuiltPlan(BuiltPlan* built,
                              std::span<const Tuple> arrivals) {
+  AttachQuerySinks(built);
   BenchRun run;
   const auto start = std::chrono::steady_clock::now();
   run.stats.events_processed =
@@ -131,8 +132,8 @@ inline BenchRun RunBuiltPlan(BuiltPlan* built,
   run.stats.input_tuples = arrivals.size();
   run.stats.virtual_end_time = arrivals.empty() ? 0 : arrivals.back().timestamp;
   run.stats.cost = built->plan->cost_counters();
-  for (const CountingSink* sink : built->sinks) {
-    if (sink != nullptr) run.stats.results_delivered += sink->result_count();
+  for (const QuerySink* sink : built->sinks) {
+    run.stats.results_delivered += sink->result_count();
   }
   DeriveRates(&run);
   run.avg_state_tuples = run.max_state_tuples =

@@ -15,11 +15,12 @@
 // Restore replays the active records through RegisterQuery, rebuilds the
 // plan through BuildPlan (from the snapshot's chain, which keeps the
 // boundaries migration left behind), injects each join's and union's state
-// in the order both ends enumerate them, re-installs fresh-start gates
-// with ChainMigrator::InstallFreshStartGate, and only then starts sharded
-// workers. Dense query ids follow record order on both ends: BuildPlan
-// numbers records in order, ChainMigrator::AddQuery appends the next id to
-// the newest record and RemoveQuery frees none.
+// in the order both ends enumerate them, sets each query sink's
+// fresh-start cutoff, and only then starts sharded workers. Query unions
+// are written in record order and keyed by token: the restored plan
+// numbers records densely in order, while the checkpointed one may not
+// (ChainMigrator::AddQuery reuses the ids RemoveQuery frees), so record
+// order is what both ends agree on.
 //
 // Failure discipline: a failed Checkpoint leaves the engine as it was. A
 // Restore that fails past the fresh-engine precondition poisons the engine
@@ -220,7 +221,7 @@ struct ActiveEntry {
   TimePoint results_from = 0;
   uint64_t delivered = 0;
   std::map<std::string, int> collected;
-  TimePoint gate_cutoff = -1;  // fresh-start gate cutoff; -1 = no gate
+  TimePoint gate_cutoff = -1;  // the sink's fresh-start cutoff; -1 = none
 };
 
 template <typename Ar>
@@ -390,11 +391,13 @@ std::vector<JoinRef> PlanJoins(const BuiltPlan& built) {
 // One plan's operator state: every join (its type, its range or
 // windows checked against the rebuilt join, then its window contents),
 // then the buffered events of each union holding some: query unions keyed
-// by record token (`qid_token`: dense id -> token), the rest (multi-level
-// pass-through and input merges) by name, in operator order.
+// by record token, in record order (`record_qids[i]` is the plan id of the
+// i-th record, `tokens[i]` its token), the rest (multi-level pass-through
+// and input merges) by name, in operator order.
 template <typename Ar>
 void VisitPlanState(Ar& ar, BuiltPlan& built,
-                    const std::vector<uint64_t>& qid_token,
+                    const std::vector<int>& record_qids,
+                    const std::vector<uint64_t>& tokens,
                     TimePoint watermark) {
   const std::vector<JoinRef> joins = PlanJoins(built);
   Expect<uint32_t>(ar, "join count", joins.size());
@@ -421,16 +424,17 @@ void VisitPlanState(Ar& ar, BuiltPlan& built,
 
   // Query unions keyed by record token, the rest by name.
   std::vector<std::pair<uint64_t, UnionMerge*>> by_token;
-  for (size_t qid = 0; qid < built.merges.size(); ++qid) {
-    UnionMerge* merge = built.merges[qid];
+  for (size_t i = 0; i < record_qids.size(); ++i) {
+    UnionMerge* merge = built.merges[record_qids[i]];
     if (merge != nullptr && merge->buffered() > 0) {
-      by_token.emplace_back(qid_token[qid], merge);
+      by_token.emplace_back(tokens[i], merge);
     }
   }
   VisitUnions(ar, std::move(by_token), watermark, [&](uint64_t token) {
-    const auto it = std::find(qid_token.begin(), qid_token.end(), token);
+    const auto it = std::find(tokens.begin(), tokens.end(), token);
     UnionMerge* merge =
-        it == qid_token.end() ? nullptr : built.merges[it - qid_token.begin()];
+        it == tokens.end() ? nullptr
+                           : built.merges[record_qids[it - tokens.begin()]];
     if (merge == nullptr) {
       ar.Fail("union buffer references unknown query token " +
               std::to_string(token));
@@ -494,7 +498,8 @@ bool Engine::Checkpoint(std::string* out) {
   // Either the pause above joined the workers, or none existed
   // (deterministic mode / idle): the accumulators are this thread's.
   surgery_cap_.Assert();
-  std::vector<uint64_t> qid_token;
+  std::vector<int> record_qids;
+  std::vector<uint64_t> tokens;
   if (running()) {
     if (sharded_ != nullptr) {
       DrainShardsIntoMerge(/*flush=*/false);
@@ -503,17 +508,16 @@ bool Engine::Checkpoint(std::string* out) {
     }
     // Fold the live sink counts into the records (restored sinks restart
     // at zero; events still buffered in unions reached no sink yet, so
-    // nothing is counted twice) and read the fresh-start gate cutoffs.
+    // nothing is counted twice) and read the fresh-start cutoffs.
     const BuiltPlan& rp = result_plan();
     for (size_t i = 0; i < active.size(); ++i) {
-      const auto qid = static_cast<size_t>(active_[i].query.id);
-      FoldLiveResults(rp, active_[i].query.id, &active[i].delivered,
-                      &active[i].collected);
-      if (qid < rp.result_gates.size() && rp.result_gates[qid] != nullptr) {
-        active[i].gate_cutoff = rp.result_gates[qid]->cutoff();
+      const int qid = active_[i].query.id;
+      FoldLiveResults(rp, qid, &active[i].delivered, &active[i].collected);
+      if (rp.sinks[qid]->cutoff() > 0) {
+        active[i].gate_cutoff = rp.sinks[qid]->cutoff();
       }
-      if (qid >= qid_token.size()) qid_token.resize(qid + 1, 0);
-      qid_token[qid] = active_[i].token;
+      record_qids.push_back(qid);
+      tokens.push_back(active_[i].token);
     }
   }
 
@@ -557,7 +561,7 @@ bool Engine::Checkpoint(std::string* out) {
     if (has_chain) Visit(w, built_.chain);
     w.Put<uint32_t>(plans.size());
     for (BuiltPlan* plan : plans) {
-      VisitPlanState(w, *plan, qid_token, session_.watermark);
+      VisitPlanState(w, *plan, record_qids, tokens, session_.watermark);
     }
   }
   if (!w.ok()) {
@@ -579,7 +583,7 @@ bool Engine::Restore(std::string_view snapshot) {
   // Precondition: a freshly constructed engine. Violations fail WITHOUT
   // poisoning — nothing was touched, the engine keeps its valid state.
   if (running() || session_.finished || poisoned_ || !active_.empty() ||
-      !retired_.empty() || !subscriptions_.empty() ||
+      !retired_.empty() ||
       session_.input_tuples != 0 || session_.dropped_tuples != 0 ||
       session_.rejected_tuples != 0) {
     last_error_ =
@@ -600,7 +604,6 @@ bool Engine::Restore(std::string_view snapshot) {
     active_.clear();
     retired_.clear();
     retired_delivered_ = 0;
-    subscriptions_.clear();
     max_streams_ = 0;
     session_ = {};
     metrics_ = {};
@@ -796,26 +799,29 @@ bool Engine::Restore(std::string_view snapshot) {
                   std::to_string(num_levels) + " levels, rebuild has " +
                   std::to_string(plans.front()->num_levels));
     }
-    std::vector<uint64_t> qid_token;  // BuildPlan numbered records in order
-    for (const QueryRecord& rec : active_) qid_token.push_back(rec.token);
+    // BuildPlan numbered the records densely in order.
+    std::vector<int> record_qids;
+    std::vector<uint64_t> tokens;
+    for (const QueryRecord& rec : active_) {
+      record_qids.push_back(rec.query.id);
+      tokens.push_back(rec.token);
+    }
     for (BuiltPlan* plan : plans) {
-      VisitPlanState(r, *plan, qid_token, session_.watermark);
+      VisitPlanState(r, *plan, record_qids, tokens, session_.watermark);
       if (!r.ok()) {
         return fail(r.error().empty() ? "truncated or corrupt plan state"
                                       : "plan state: " + r.error());
       }
     }
   }
-  // Fresh-start gates exist only where migration installs them.
+  // Fresh-start cutoffs exist only where in-place migration sets them.
   if (gated && !CanMigrateRemove()) {
     return fail("gate cutoff on a plan that cannot carry one");
   }
   for (size_t i = 0; i < active.size(); ++i) {
-    if (active[i].gate_cutoff < 0) continue;
-    const int qid = active_[i].query.id;
-    const SinkEdge terminal = built_.sink_edges[qid].front();
-    ChainMigrator(&built_).InstallFreshStartGate(
-        qid, active[i].gate_cutoff, terminal.producer, terminal.producer_port);
+    if (active[i].gate_cutoff > 0) {
+      built_.sinks[active_[i].query.id]->set_cutoff(active[i].gate_cutoff);
+    }
   }
   if (has_chain != 0) ValidateBuiltChain(built_);
 

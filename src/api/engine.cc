@@ -238,12 +238,13 @@ QueryHandle Engine::RegisterQuery(const ContinuousQuery& query) {
   STATESLICE_FAULT_POINT("engine.migrate_add");
   if (CanMigrateAdd(rec.query)) {
     // In-place registration (Section 5.3): the shared slice states keep
-    // serving the existing queries; a ResultTimeGate gives the newcomer
+    // serving the existing queries; the newcomer's sink cutoff gives it
     // fresh-start semantics.
     ChainMigrator migrator(&built_);
     rec.query.id =
         migrator.AddQuery(rec.query.window, rec.query.name, cutoff);
     ValidateBuiltChain(built_);
+    built_.sinks[rec.query.id]->set_subscribers(rec.subscribers.get());
     ++session_.migrations;
     active_.push_back(std::move(rec));
   } else {
@@ -318,13 +319,6 @@ bool Engine::UnregisterQuery(QueryHandle handle) {
     ResumeAfterSurgery();
   }
   RecomputeMaxStreams();
-  // The query's callback sinks died with its output path.
-  subscriptions_.erase(
-      std::remove_if(subscriptions_.begin(), subscriptions_.end(),
-                     [&](const SubscriptionRecord& s) {
-                       return s.query_token == handle.token;
-                     }),
-      subscriptions_.end());
   return true;
 }
 
@@ -348,10 +342,7 @@ bool Engine::CanMigrateAdd(const ContinuousQuery& query) const {
   for (const QueryRecord& r : active_) {
     if (!r.query.Unfiltered()) return false;
   }
-  if (built_.slices.empty() ||
-      built_.queries.size() >= static_cast<size_t>(kMaxQueries)) {
-    return false;
-  }
+  if (built_.slices.empty()) return false;
   // The window must land inside the chain span, and if it splits a slice,
   // that slice must be router-free (merged slices re-split via rebuild).
   for (const BuiltSlice& slice : built_.slices) {
@@ -421,23 +412,20 @@ void Engine::BuildPlan(const ChainPlan* chain) {
     return BuiltPlan{};
   };
   if (options_.mode == ExecutionMode::kSharded) {
-    // Key-partitioned replicas; the merge plan carries the authoritative
-    // sinks (and the CollectingSinks, when enabled), so replicas skip
-    // result collection.
-    BuildOptions shard_opt = bopt;
-    shard_opt.collect_results = false;
+    // Key-partitioned replicas; the merge plan carries the sinks.
     const int shards = ShardCount();
     last_shard_count_ = shards;
     sharded_ = std::make_unique<ShardedPlanSet>(BuildShardedPlanSet(
-        shards, queries, bopt, [&] { return build_one(shard_opt); }));
+        shards, queries, bopt, [&] { return build_one(bopt); }));
   } else {
     built_ = build_one(bopt);
+    AttachQuerySinks(&built_);
     // run_length == 0 keeps the paper-faithful default quantum of 8.
     det_scheduler_ = std::make_unique<RoundRobinScheduler>(
         built_.plan.get(), options_.run_length > 0 ? options_.run_length : 8);
   }
-  for (SubscriptionRecord& sub : subscriptions_) {
-    if (FindActive(sub.query_token) != nullptr) WireSubscription(&sub);
+  for (const QueryRecord& r : active_) {
+    result_plan().sinks[r.query.id]->set_subscribers(r.subscribers.get());
   }
 }
 
@@ -454,17 +442,13 @@ void Engine::EnsureBuilt() {
 void Engine::FoldLiveResults(const BuiltPlan& plan, int qid,
                              uint64_t* delivered,
                              std::map<std::string, int>* collected) {
-  if (plan.sinks[qid] != nullptr) {
-    *delivered += plan.sinks[qid]->result_count();
-  }
-  if (qid < static_cast<int>(plan.collectors.size()) &&
-      plan.collectors[qid] != nullptr) {
-    MergeMultiset(plan.collectors[qid]->ResultMultiset(), collected);
-  }
+  const QuerySink& sink = *plan.sinks[qid];
+  *delivered += sink.result_count();
+  MergeMultiset(sink.ResultMultiset(), collected);
 }
 
 void Engine::HarvestSinks() {
-  // In sharded mode the authoritative sinks live on the merge plan.
+  // In sharded mode the sinks live on the merge plan.
   for (QueryRecord& r : active_) {
     FoldLiveResults(result_plan(), r.query.id, &r.delivered, &r.collected);
   }
@@ -534,7 +518,6 @@ void Engine::TearDownPlan() {
     HarvestSinks();
     metrics_.cost = TotalCost();
     sharded_.reset();
-    for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
     return;
   }
   RoundRobinScheduler drain(built_.plan.get());
@@ -556,7 +539,6 @@ void Engine::TearDownPlan() {
   HarvestSinks();
   metrics_.cost = TotalCost();
   built_ = BuiltPlan{};
-  for (SubscriptionRecord& sub : subscriptions_) sub.sink = nullptr;
 }
 
 int Engine::ShardCount() const {
@@ -838,7 +820,8 @@ void Engine::Finish() {
 
 SubscriptionId Engine::Subscribe(QueryHandle handle,
                                  ResultCallback callback) {
-  if (FindActive(handle.token) == nullptr) {
+  QueryRecord* rec = FindActive(handle.token);
+  if (rec == nullptr) {
     last_error_ = "unknown or inactive query handle";
     return {};
   }
@@ -846,76 +829,28 @@ SubscriptionId Engine::Subscribe(QueryHandle handle,
     last_error_ = "null callback";
     return {};
   }
-  SubscriptionRecord sub;
-  sub.token = session_.next_token++;
-  sub.query_token = handle.token;
-  sub.callback = std::move(callback);
-  const uint64_t token = sub.token;
-  subscriptions_.push_back(std::move(sub));
-  if (running()) {
-    QuiesceForSurgery();
-    WireSubscription(&subscriptions_.back());
-    ResumeAfterSurgery();
-  }
+  const uint64_t token = session_.next_token++;
+  // The sink reads the list on the worker threads: edit it quiesced.
+  QuiesceForSurgery();
+  rec->subscribers->push_back(Subscriber{token, std::move(callback)});
+  ResumeAfterSurgery();
   return {token};
 }
 
 bool Engine::Unsubscribe(SubscriptionId id) {
-  auto it = std::find_if(subscriptions_.begin(), subscriptions_.end(),
-                         [&](const SubscriptionRecord& s) {
-                           return s.token == id.token;
-                         });
-  if (it == subscriptions_.end()) {
-    last_error_ = "unknown subscription";
-    return false;
-  }
-  if (it->sink != nullptr && running()) {
+  for (QueryRecord& rec : active_) {
+    std::vector<Subscriber>& subs = *rec.subscribers;
+    const auto it =
+        std::find_if(subs.begin(), subs.end(),
+                     [&](const Subscriber& s) { return s.token == id.token; });
+    if (it == subs.end()) continue;
     QuiesceForSurgery();
-    // Quiesced above: workers joined (or never started), queues drained.
-    // Callback sinks hang off the result plan (merge plan when sharded).
-    BuiltPlan& rp = result_plan();
-    rp.plan->AssertSurgeryExclusive();
-    const QueryRecord* rec = FindActive(it->query_token);
-    SLICE_CHECK(rec != nullptr);
-    std::vector<SinkEdge>& edges = rp.sink_edges[rec->query.id];
-    for (size_t e = 0; e < edges.size(); ++e) {
-      if (edges[e].sink != it->sink) continue;
-      edges[e].producer->DetachOutput(edges[e].producer_port,
-                                      edges[e].queue);
-      rp.plan->RetireQueue(edges[e].queue);
-      rp.plan->RemoveOperatorWhileRunning(edges[e].sink);
-      edges.erase(edges.begin() + e);
-      break;
-    }
+    subs.erase(it);
     ResumeAfterSurgery();
+    return true;
   }
-  subscriptions_.erase(it);
-  return true;
-}
-
-void Engine::WireSubscription(SubscriptionRecord* sub) {
-  // Callers hold surgery_cap_ (REQUIRES), so the workers are quiescent and
-  // the plan structure is this thread's to mutate. Sharded mode taps the
-  // merge plan (the only stream carrying globally ordered results), so
-  // callbacks fire on the merge worker thread.
-  BuiltPlan& rp = result_plan();
-  rp.plan->AssertSurgeryExclusive();
-  const QueryRecord* rec = FindActive(sub->query_token);
-  SLICE_CHECK(rec != nullptr);
-  const int qid = rec->query.id;
-  SLICE_CHECK(!rp.sink_edges[qid].empty());
-  // Tap the same producer that feeds the query's counting sink (the gate,
-  // union, router branch, or slice — whichever terminates this query).
-  const SinkEdge proto = rp.sink_edges[qid].front();
-  auto* sink = rp.plan->InsertOperatorWhileRunning(
-      std::make_unique<CallbackSink>(
-          rec->query.name + ".cb" + std::to_string(sub->token),
-          sub->callback));
-  EventQueue* queue = rp.plan->ConnectWhileRunning(
-      proto.producer, proto.producer_port, sink, 0);
-  rp.sink_edges[qid].push_back(
-      SinkEdge{proto.producer, proto.producer_port, queue, sink});
-  sub->sink = sink;
+  last_error_ = "unknown subscription";
+  return false;
 }
 
 uint64_t Engine::ResultCount(QueryHandle handle) {
@@ -925,7 +860,7 @@ uint64_t Engine::ResultCount(QueryHandle handle) {
     return retired != nullptr ? retired->delivered : 0;
   }
   uint64_t total = rec->delivered;
-  if (running() && result_plan().sinks[rec->query.id] != nullptr) {
+  if (running()) {
     // Pause workers (if any) for a quiescent, synchronized read; a
     // deterministic engine stays lazy (Poll/auto_drain drive progress).
     const bool had_workers = shard_scheduler_ != nullptr;
@@ -944,10 +879,10 @@ std::map<std::string, int> Engine::CollectedResults(QueryHandle handle) {
                               : std::map<std::string, int>{};
   }
   std::map<std::string, int> results = rec->collected;
-  if (running() && result_plan().collectors[rec->query.id] != nullptr) {
+  if (running()) {
     const bool had_workers = shard_scheduler_ != nullptr;
     if (had_workers) PauseSharded();
-    MergeMultiset(result_plan().collectors[rec->query.id]->ResultMultiset(),
+    MergeMultiset(result_plan().sinks[rec->query.id]->ResultMultiset(),
                   &results);
     if (had_workers) ResumeAfterSurgery();
   }
@@ -1029,7 +964,7 @@ RunStats Engine::Snapshot() {
   stats.results_delivered = retired_delivered_;
   for (const QueryRecord& r : active_) {
     stats.results_delivered += r.delivered;
-    if (running() && result_plan().sinks[r.query.id] != nullptr) {
+    if (running()) {
       stats.results_delivered +=
           result_plan().sinks[r.query.id]->result_count();
     }

@@ -32,16 +32,17 @@
 // after its registration (Engine::ResultsFrom). On a selection-free
 // state-slice chain the engine routes registration through ChainMigrator —
 // the shared slice states keep serving the existing queries with zero
-// downtime, and a ResultTimeGate suppresses pairs that join
-// pre-registration state. For every other configuration (pull-up,
-// push-down, unshared, lineage mode, selections, count windows) the engine
-// falls back to a drain-rebuild path: the current plan is flushed (all
-// held results are delivered) and a fresh shared plan over the updated
-// query set takes over, so churn works for *every* sharing strategy. Each
-// rebuild resets operator state at a cutoff recorded in rebuild_cutoffs():
-// result pairs whose constituents straddle a rebuild cutoff are not
-// produced, so a query's cumulative delivery is exactly the windowed join
-// over its post-ResultsFrom suffix, segmented by the later cutoffs.
+// downtime, and the newcomer's QuerySink drops pairs that join
+// pre-registration state (its fresh-start cutoff). For every other
+// configuration (pull-up, push-down, unshared, lineage mode, selections,
+// count windows) the engine falls back to a drain-rebuild path: the
+// current plan is flushed (all held results are delivered) and a fresh
+// shared plan over the updated query set takes over, so churn works for
+// *every* sharing strategy. Each rebuild resets operator state at a cutoff
+// recorded in rebuild_cutoffs(): result pairs whose constituents straddle
+// a rebuild cutoff are not produced, so a query's cumulative delivery is
+// exactly the windowed join over its post-ResultsFrom suffix, segmented by
+// the later cutoffs.
 //
 // Session history: the engine keeps the live queries (at most
 // kMaxQueries) apart from the removed ones. A removed query leaves a
@@ -63,15 +64,16 @@
 // condition (so equal keys meet in one replica) and time-based windows
 // (count windows depend on the global arrival sequence). Query churn on a
 // running sharded engine always takes the drain-rebuild path, and the
-// authoritative sinks — what Subscribe/ResultCount/CollectedResults
-// observe — live on the merge plan. The merge releases results as the
+// query sinks — what Subscribe/ResultCount/CollectedResults observe —
+// live on the merge plan alone. The merge releases results as the
 // slowest shard's watermark advances, so a mid-stream ResultCount can
 // trail the deterministic engine; after Finish() (or any drain-rebuild)
 // the delivered results are multiset- and order-identical. Subscription
 // callbacks fire on the merge worker thread. Push hands tuples to the
-// workers, and surgery points (register/unregister/subscribe/snapshot/
-// drain) briefly pause them: workers are joined, the plan is mutated on
-// the caller thread, and fresh workers resume.
+// workers, and surgery points (register/unregister/snapshot/drain)
+// briefly pause them: workers are joined, the plan is mutated on the
+// caller thread, and fresh workers resume. Subscribe/Unsubscribe pause
+// them too, but only to edit a query's callback list.
 #ifndef STATESLICE_API_ENGINE_H_
 #define STATESLICE_API_ENGINE_H_
 
@@ -287,8 +289,11 @@ class Engine {
   void Finish();
 
   // --- results ----------------------------------------------------------
-  // Attaches `callback` to the query's output path; fires once per
-  // delivered JoinResult, surviving migrations and plan rebuilds.
+  // Adds `callback` to the query's subscriber list; the query's sink runs
+  // it once per delivered JoinResult, across migrations and plan
+  // rebuilds. Subscribe and Unsubscribe only edit that list (pausing the
+  // sharded workers meanwhile); they make no plan surgery. A query's
+  // subscriptions end when it is unregistered.
   SubscriptionId Subscribe(QueryHandle handle, ResultCallback callback);
   bool Unsubscribe(SubscriptionId id);
 
@@ -406,12 +411,10 @@ class Engine {
     TimePoint results_from = 0;
     uint64_t delivered = 0;                 // finalized plan epochs
     std::map<std::string, int> collected;   // finalized plan epochs
-  };
-  struct SubscriptionRecord {
-    uint64_t token = 0;
-    uint64_t query_token = 0;
-    ResultCallback callback;
-    CallbackSink* sink = nullptr;  // current epoch's operator (if wired)
+    // Subscribed callbacks. The query's sink reads them through this
+    // pointer, which stays valid while the record moves in active_.
+    std::unique_ptr<std::vector<Subscriber>> subscribers =
+        std::make_unique<std::vector<Subscriber>>();
   };
 
   // The live record for `token`, or nullptr (a linear scan over at most
@@ -440,9 +443,9 @@ class Engine {
   // justification comment.
 
   // Builds the shared plan over the active queries (dense ids in record
-  // order), from `chain` when given, else from the recomputed chain/tree.
-  // Sharded workers stay parked: callers start them with
-  // ResumeAfterSurgery.
+  // order), from `chain` when given, else from the recomputed chain/tree,
+  // and binds each query's sink to its subscriber list. Sharded workers
+  // stay parked: callers start them with ResumeAfterSurgery.
   void BuildPlan(const ChainPlan* chain = nullptr)
       STATESLICE_REQUIRES(surgery_cap_);
   void EnsureBuilt();
@@ -458,8 +461,8 @@ class Engine {
   // Every live plan: the shard replicas then the merge plan, or built_.
   std::vector<BuiltPlan*> LivePlans();
   void HarvestSinks() STATESLICE_REQUIRES(surgery_cap_);
-  // Adds query `qid`'s live sink count and collected multiset on `plan`
-  // to the given totals.
+  // Adds query `qid`'s live sink count and collected multiset on the
+  // result plan `plan` to the given totals.
   static void FoldLiveResults(const BuiltPlan& plan, int qid,
                               uint64_t* delivered,
                               std::map<std::string, int>* collected);
@@ -473,8 +476,8 @@ class Engine {
   void StartSharded();
   void PauseSharded() STATESLICE_ASSERT_CAPABILITY(surgery_cap_);
   int ShardCount() const;
-  // The plan carrying the authoritative per-query sinks: the merge plan in
-  // sharded mode, built_ otherwise. Valid only while running().
+  // The result plan, which alone carries the query sinks: the merge plan
+  // in sharded mode, built_ otherwise. Valid only while running().
   BuiltPlan& result_plan() {
     return sharded_ != nullptr ? sharded_->merge : built_;
   }
@@ -488,8 +491,6 @@ class Engine {
   // The cutoff new arrivals are guaranteed to be at or beyond.
   TimePoint Cutoff() const { return session_.watermark + 1; }
 
-  void WireSubscription(SubscriptionRecord* sub)
-      STATESLICE_REQUIRES(surgery_cap_);
   void SampleMemory() STATESLICE_REQUIRES(surgery_cap_);
 
   Options options_;
@@ -503,7 +504,6 @@ class Engine {
   // insertion is amortized O(1).
   std::vector<RetiredQuery> retired_;
   uint64_t retired_delivered_ = 0;  // sum of retired_[*].delivered
-  std::vector<SubscriptionRecord> subscriptions_;
 
   BuiltPlan built_;  // built_.plan == nullptr while idle
   std::unique_ptr<RoundRobinScheduler> det_scheduler_;

@@ -21,7 +21,7 @@
 // Which arena a copy draws from is ambient: schedulers install the plan's
 // arena for the duration of a run via ArenaScope, and copy construction of a
 // spilled tail asks CurrentArena(). Code that hands tuples to user callbacks
-// (CallbackSink) installs a null scope so user-side copies fall back to the
+// (QuerySink) installs a null scope so user-side copies fall back to the
 // global heap and may safely outlive the plan.
 #ifndef STATESLICE_COMMON_ARENA_H_
 #define STATESLICE_COMMON_ARENA_H_

@@ -47,9 +47,9 @@ enum class PhysCategory : int {
 };
 
 // Additive counters shared by every operator of a plan. In sharded mode a
-// replica's operators run on whichever worker holds its execution token
-// (src/runtime/sharded_scheduler.h), so the per-category counts are
-// relaxed atomics:
+// replica's operators run on its shard's worker while the engine thread
+// may read the counters (src/runtime/sharded_scheduler.h), so the
+// per-category counts are relaxed atomics:
 // charges are commutative sums with no ordering requirement, and the
 // uncontended fetch_add is negligible next to the probe loops that
 // produce the counts. Copies (RunStats snapshots) are plain value copies

@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/operators/router.h"
-#include "src/operators/selection.h"
 
 namespace stateslice {
 namespace {
@@ -36,6 +35,8 @@ ChainMigrator::ChainMigrator(BuiltPlan* built) : built_(built) {
     SLICE_CHECK(q.Unfiltered());
   }
   SLICE_CHECK(!built->options.use_lineage);
+  // Migration edits a result plan: every query's sink is wired.
+  SLICE_CHECK_EQ(built->sinks.size(), built->queries.size());
 }
 
 void ChainMigrator::CheckQuiescent() const {
@@ -137,32 +138,19 @@ int ChainMigrator::SplitSlice(int slice_index, Duration boundary) {
     const int qid = edge.query_id;
     UnionMerge* merge = built_->merges[qid];
     if (merge == nullptr) {
-      // The query read the old slice alone; it now reads two producers and
-      // needs a union inserted in front of its gate (when registered with
-      // fresh-start semantics) or its sinks.
+      // The query read the old slice alone; it now reads two producers, so
+      // a union goes in front of its sink: the slice -> sink queue becomes
+      // the union's output and the slice feeds the union's port 0.
       merge = plan->InsertOperatorWhileRunning(std::make_unique<UnionMerge>(
           built_->queries[qid].name + ".union.m" +
               std::to_string(built_->migration_serial++),
           /*input_count=*/1));
-      if (built_->result_gates[qid] != nullptr) {
-        // slice -> gate becomes union -> gate; the old slice edge's queue
-        // is exactly the gate's input.
-        SLICE_CHECK(edge.queue != nullptr);
-        plan->MoveQueueProducer(edge.queue, edge.producer,
-                                edge.producer_port, merge,
-                                UnionMerge::kOutPort);
-      } else {
-        for (SinkEdge& se : built_->sink_edges[qid]) {
-          plan->MoveQueueProducer(se.queue, se.producer, se.producer_port,
-                                  merge, UnionMerge::kOutPort);
-          se.producer = merge;
-          se.producer_port = UnionMerge::kOutPort;
-        }
-      }
-      // Re-route the old direct edge through port 0 of the new union.
+      plan->MoveQueueProducer(edge.queue, edge.producer, edge.producer_port,
+                              merge, UnionMerge::kOutPort);
       EventQueue* q0 = plan->ConnectWhileRunning(
           left.join, SlicedWindowJoin::kResultPort, merge, 0);
       built_->merges[qid] = merge;
+      built_->outputs[qid] = QueryOutput{merge, UnionMerge::kOutPort};
       // Update the old edge record in place.
       for (ResultEdge& e : built_->result_edges) {
         if (e.query_id == qid && e.slice_index == slice_index) {
@@ -171,8 +159,6 @@ int ChainMigrator::SplitSlice(int slice_index, Duration boundary) {
           e.merge_port = 0;
         }
       }
-      // NOTE: the old direct sink queues were produced by the slice and
-      // are now produced by the union; results keep flowing in order.
     }
     const int port = merge->AddInputWhileRunning();
     EventQueue* eq = plan->ConnectWhileRunning(
@@ -293,17 +279,10 @@ int ChainMigrator::MergeSlices(int slice_index) {
       const int port = it == left_only.end()
                            ? all_port
                            : static_cast<int>(it - left_only.begin());
-      if (e.queue != nullptr) {
-        plan->MoveQueueProducer(e.queue, e.producer, e.producer_port, router,
-                                port);
-      } else {
-        // Direct-wired query: move its sink queues behind the router.
-        for (SinkEdge& se : built_->sink_edges[e.query_id]) {
-          plan->MoveQueueProducer(se.queue, se.producer, se.producer_port,
-                                  router, port);
-          se.producer = router;
-          se.producer_port = port;
-        }
+      plan->MoveQueueProducer(e.queue, e.producer, e.producer_port, router,
+                              port);
+      if (e.merge == nullptr) {
+        built_->outputs[e.query_id] = QueryOutput{router, port};
       }
       e.producer = router;
       e.producer_port = port;
@@ -347,7 +326,6 @@ int ChainMigrator::AddQuery(WindowSpec window, const std::string& name,
   // Quiescent plan + single-caller Engine contract (see SplitSlice).
   built_->plan->AssertSurgeryExclusive();
   SLICE_CHECK(window.kind == WindowKind::kTime);
-  SLICE_CHECK_LT(built_->queries.size(), static_cast<size_t>(kMaxQueries));
   QueryPlan* plan = built_->plan.get();
 
   // Locate the slice prefix covering [0, window.extent); split if the
@@ -367,113 +345,62 @@ int ChainMigrator::AddQuery(WindowSpec window, const std::string& name,
   }
   SLICE_CHECK_GE(prefix_end, 0);  // window must not exceed the chain span
 
-  const int qid = static_cast<int>(built_->queries.size());
-  ContinuousQuery query;
+  // Take the lowest id a removed query freed, else the next one.
+  ChainSpec& spec = built_->chain.spec;
+  const auto freed = std::find(spec.query_boundary.begin(),
+                               spec.query_boundary.end(), -1);
+  const int qid = static_cast<int>(freed - spec.query_boundary.begin());
+  if (freed == spec.query_boundary.end()) {
+    SLICE_CHECK_LT(built_->queries.size(), static_cast<size_t>(kMaxQueries));
+    built_->queries.emplace_back();
+    built_->outputs.emplace_back();
+    built_->sinks.push_back(nullptr);
+    built_->merges.push_back(nullptr);
+    spec.query_boundary.push_back(-1);
+  }
+  ContinuousQuery& query = built_->queries[qid];
+  query = ContinuousQuery{};
   query.id = qid;
   query.name = name;
   query.window = window;
-  built_->queries.push_back(query);
-  built_->sinks.push_back(nullptr);
-  built_->collectors.push_back(nullptr);
-  built_->sink_edges.push_back({});
-  built_->merges.push_back(nullptr);
-  built_->result_gates.push_back(nullptr);
 
   // Register the query in the chain spec (its boundary exists after the
   // split above).
-  ChainSpec& spec = built_->chain.spec;
   const int bidx = BoundaryIndexOf(spec.boundaries, window.extent);
   SLICE_CHECK_GE(bidx, 0);
-  spec.query_boundary.push_back(bidx);
+  spec.query_boundary[qid] = bidx;
   spec.queries_at_boundary[bidx].push_back(qid);
 
-  // Terminal sinks.
-  auto* counting = plan->InsertOperatorWhileRunning(
-      std::make_unique<CountingSink>(name + ".sink"));
-  built_->sinks[qid] = counting;
-  CollectingSink* collecting = nullptr;
-  if (built_->options.collect_results) {
-    collecting = plan->InsertOperatorWhileRunning(
-        std::make_unique<CollectingSink>(name + ".collect"));
-    built_->collectors[qid] = collecting;
-  }
+  // The sink: with `results_from` > 0 it passes only results whose every
+  // constituent arrived at or after it (fresh-start semantics).
+  auto* sink = plan->InsertOperatorWhileRunning(std::make_unique<QuerySink>(
+      name + ".sink", built_->options.collect_results));
+  sink->set_cutoff(results_from);
+  built_->sinks[qid] = sink;
 
-  Operator* terminal;
-  int terminal_port;
   if (prefix_end == 0) {
-    terminal = built_->slices[0].result_producer;
-    terminal_port = built_->slices[0].full_port;
-    // Record the slice -> sinks edge so split/merge can re-route it.
-    built_->result_edges.push_back(ResultEdge{qid, 0, terminal,
-                                              terminal_port, nullptr,
-                                              nullptr, 0});
-  } else {
-    auto* merge = plan->InsertOperatorWhileRunning(
-        std::make_unique<UnionMerge>(name + ".union", prefix_end + 1));
-    built_->merges[qid] = merge;
-    for (int s = 0; s <= prefix_end; ++s) {
-      EventQueue* eq = plan->ConnectWhileRunning(
-          built_->slices[s].result_producer, built_->slices[s].full_port,
-          merge, s);
-      built_->result_edges.push_back(
-          ResultEdge{qid, s, built_->slices[s].result_producer,
-                     built_->slices[s].full_port, eq, merge, s});
-    }
-    terminal = merge;
-    terminal_port = UnionMerge::kOutPort;
+    const BuiltSlice& slice = built_->slices[0];
+    EventQueue* queue = plan->ConnectWhileRunning(
+        slice.result_producer, slice.full_port, sink, 0);
+    built_->outputs[qid] = QueryOutput{slice.result_producer, slice.full_port};
+    built_->result_edges.push_back(ResultEdge{
+        qid, 0, slice.result_producer, slice.full_port, queue});
+    return qid;
   }
-  if (results_from > 0) {
-    // Fresh-start semantics: suppress results joining pre-registration
-    // state so the query delivers exactly the join over tuples with
-    // timestamp >= results_from.
-    terminal = InstallFreshStartGate(qid, results_from, terminal,
-                                     terminal_port);
-    terminal_port = ResultTimeGate::kOutPort;
+  auto* merge = plan->InsertOperatorWhileRunning(
+      std::make_unique<UnionMerge>(name + ".union", prefix_end + 1));
+  built_->merges[qid] = merge;
+  for (int s = 0; s <= prefix_end; ++s) {
+    EventQueue* eq = plan->ConnectWhileRunning(
+        built_->slices[s].result_producer, built_->slices[s].full_port,
+        merge, s);
+    built_->result_edges.push_back(
+        ResultEdge{qid, s, built_->slices[s].result_producer,
+                   built_->slices[s].full_port, eq, merge, s});
   }
-  EventQueue* cq =
-      plan->ConnectWhileRunning(terminal, terminal_port, counting, 0);
-  built_->sink_edges[qid].push_back(
-      SinkEdge{terminal, terminal_port, cq, counting});
-  if (collecting != nullptr) {
-    EventQueue* xq =
-        plan->ConnectWhileRunning(terminal, terminal_port, collecting, 0);
-    built_->sink_edges[qid].push_back(
-        SinkEdge{terminal, terminal_port, xq, collecting});
-  }
+  plan->ConnectWhileRunning(merge, UnionMerge::kOutPort, sink, 0);
+  built_->outputs[qid] = QueryOutput{merge, UnionMerge::kOutPort};
   return qid;
-}
-
-ResultTimeGate* ChainMigrator::InstallFreshStartGate(int query_id,
-                                                     TimePoint cutoff,
-                                                     Operator* terminal,
-                                                     int terminal_port) {
-  CheckQuiescent();
-  QueryPlan* plan = built_->plan.get();
-  // Quiescent plan + single-caller Engine contract (see SplitSlice).
-  plan->AssertSurgeryExclusive();
-  SLICE_CHECK(built_->result_gates[query_id] == nullptr);
-  auto* gate = plan->InsertOperatorWhileRunning(
-      std::make_unique<ResultTimeGate>(
-          built_->queries[query_id].name + ".fresh", cutoff));
-  built_->result_gates[query_id] = gate;
-  EventQueue* gq = plan->ConnectWhileRunning(terminal, terminal_port, gate, 0);
-  for (SinkEdge& edge : built_->sink_edges[query_id]) {
-    plan->MoveQueueProducer(edge.queue, edge.producer, edge.producer_port,
-                            gate, ResultTimeGate::kOutPort);
-    edge.producer = gate;
-    edge.producer_port = ResultTimeGate::kOutPort;
-  }
-  if (built_->merges[query_id] != nullptr) return gate;
-  // A slice-direct query: the slice -> gate queue is the edge split/merge
-  // re-route.
-  for (ResultEdge& edge : built_->result_edges) {
-    if (edge.query_id == query_id && edge.merge == nullptr &&
-        edge.queue == nullptr) {
-      edge.queue = gq;
-      break;
-    }
-  }
-  return gate;
 }
 
 void ChainMigrator::RemoveQuery(int query_id) {
@@ -482,60 +409,42 @@ void ChainMigrator::RemoveQuery(int query_id) {
   built_->plan->AssertSurgeryExclusive();
   SLICE_CHECK_GE(query_id, 0);
   SLICE_CHECK_LT(query_id, static_cast<int>(built_->queries.size()));
-  SLICE_CHECK(built_->sinks[query_id] != nullptr);  // not already removed
+  ChainSpec& spec = built_->chain.spec;
+  const int k = spec.query_boundary[query_id];
+  SLICE_CHECK_GE(k, 0);  // not already removed
   QueryPlan* plan = built_->plan.get();
 
-  // Detach result edges feeding this query's union or gate (if any).
+  // Detach the result edges feeding this query's union or sink.
   std::vector<ResultEdge> kept;
   for (const ResultEdge& e : built_->result_edges) {
     if (e.query_id != query_id) {
       kept.push_back(e);
       continue;
     }
-    if (e.queue != nullptr) {
-      e.producer->DetachOutput(e.producer_port, e.queue);
-      plan->RetireQueue(e.queue);
-    }
+    e.producer->DetachOutput(e.producer_port, e.queue);
+    plan->RetireQueue(e.queue);
   }
   built_->result_edges = std::move(kept);
 
-  // Detach and remove the sinks (fed by the gate, the union, or a slice).
-  for (const SinkEdge& se : built_->sink_edges[query_id]) {
-    se.producer->DetachOutput(se.producer_port, se.queue);
-    plan->RetireQueue(se.queue);
-    plan->RemoveOperatorWhileRunning(se.sink);
-  }
-  built_->sink_edges[query_id].clear();
-  Operator* gate = built_->result_gates[query_id];
-  UnionMerge* merge = built_->merges[query_id];
-  if (gate != nullptr && merge != nullptr) {
-    // The union -> gate queue is recorded nowhere else; detach it here.
-    EventQueue* gq = gate->input(0);
-    SLICE_CHECK(gq != nullptr);
-    merge->DetachOutput(UnionMerge::kOutPort, gq);
-    plan->RetireQueue(gq);
-  }
-  if (gate != nullptr) {
-    plan->RemoveOperatorWhileRunning(gate);
-    built_->result_gates[query_id] = nullptr;
-  }
-  if (merge != nullptr) {
+  // Then the union (with its union -> sink queue) and the sink.
+  QuerySink* sink = built_->sinks[query_id];
+  if (UnionMerge* merge = built_->merges[query_id]) {
+    EventQueue* sq = sink->input(0);
+    merge->DetachOutput(UnionMerge::kOutPort, sq);
+    plan->RetireQueue(sq);
     plan->RemoveOperatorWhileRunning(merge);
     built_->merges[query_id] = nullptr;
   }
+  plan->RemoveOperatorWhileRunning(sink);
   built_->sinks[query_id] = nullptr;
-  built_->collectors[query_id] = nullptr;
+  built_->outputs[query_id] = QueryOutput{};
 
-  // Deregister from the chain spec (the boundary itself stays; compact
-  // with MergeSlices as Section 5.3 suggests).
-  ChainSpec& spec = built_->chain.spec;
-  if (query_id < static_cast<int>(spec.query_boundary.size())) {
-    std::vector<int>& at = spec.queries_at_boundary[
-        spec.query_boundary[query_id]];
-    at.erase(std::remove(at.begin(), at.end(), query_id), at.end());
-  }
-  // The query entry stays (ids are stable); slices keep running and can be
-  // compacted with MergeSlices, as Section 5.3 suggests.
+  // Deregister from the chain spec, which frees the id for AddQuery. The
+  // boundary itself stays and the slices keep running; compact with
+  // MergeSlices, as Section 5.3 suggests.
+  std::vector<int>& at = spec.queries_at_boundary[k];
+  at.erase(std::remove(at.begin(), at.end(), query_id), at.end());
+  spec.query_boundary[query_id] = -1;
 }
 
 void ValidateBuiltChain(const BuiltPlan& built, bool check_indexes) {
@@ -585,11 +494,8 @@ void ValidateBuiltChain(const BuiltPlan& built, bool check_indexes) {
   // that boundary is covered by the chain.
   SLICE_CHECK_EQ(spec.query_boundary.size(), built.queries.size());
   for (size_t qid = 0; qid < built.queries.size(); ++qid) {
-    if (qid < built.sinks.size() && built.sinks[qid] == nullptr) {
-      continue;  // unregistered
-    }
     const int k = spec.query_boundary[qid];
-    SLICE_CHECK_GE(k, 0);
+    if (k < 0) continue;  // removed; the id is free
     SLICE_CHECK_LT(k, static_cast<int>(spec.boundaries.size()));
     SLICE_CHECK_EQ(spec.boundaries[k], built.queries[qid].window.extent);
     const std::vector<int>& at = spec.queries_at_boundary[k];

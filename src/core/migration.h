@@ -27,10 +27,10 @@
 
 namespace stateslice {
 
-// Mutates a BuiltPlan produced by BuildStateSlicePlan. All operations
-// require: (1) the plan is quiescent (all queues empty — run the scheduler
-// to quiescence first), and (2) the chain was built without selections and
-// without lineage (CHECK-enforced).
+// Mutates a result plan produced by BuildStateSlicePlan plus
+// AttachQuerySinks. All operations require: (1) the plan is quiescent (all
+// queues empty — run the scheduler to quiescence first), and (2) the chain
+// was built without selections and without lineage (CHECK-enforced).
 class ChainMigrator {
  public:
   explicit ChainMigrator(BuiltPlan* built);
@@ -47,29 +47,20 @@ class ChainMigrator {
 
   // Registers a new selection-free query with window `window` while the
   // plan runs: splits a slice if `window` is not an existing slice end,
-  // then wires a union over the covering slice prefix to fresh sinks.
-  // The query starts receiving results produced from now on. When
-  // `results_from` > 0, a ResultTimeGate is inserted in front of the new
-  // query's sinks so it delivers exactly the join over tuples with
-  // timestamp >= results_from (fresh-start registration semantics; the
-  // shared slice states still serve the other queries unchanged). Returns
-  // the new query id.
+  // then wires a union over the covering slice prefix (or the one slice)
+  // to a fresh QuerySink. The query takes the lowest id a removed query
+  // freed, else the next one, and starts receiving results produced from
+  // now on. With `results_from` > 0 the sink's cutoff makes it deliver
+  // exactly the join over tuples with timestamp >= results_from
+  // (fresh-start registration semantics; the shared slice states still
+  // serve the other queries unchanged). Returns the query id.
   int AddQuery(WindowSpec window, const std::string& name,
                TimePoint results_from = 0);
 
-  // Puts a fresh-start ResultTimeGate(`cutoff`) behind query `query_id`'s
-  // terminal output (its slice, router branch or union) and moves the sink
-  // edges already wired to that output behind the gate. Returns the gate;
-  // further sinks attach at ResultTimeGate::kOutPort. AddQuery installs
-  // the gate before wiring sinks; Engine::Restore re-installs checkpointed
-  // gates on a rebuilt plan.
-  ResultTimeGate* InstallFreshStartGate(int query_id, TimePoint cutoff,
-                                        Operator* terminal,
-                                        int terminal_port);
-
-  // Unregisters query `query_id`: detaches its result edges, gate, union
-  // and sinks. The slices it used remain (call MergeSlices to compact
-  // afterwards, as the paper suggests).
+  // Unregisters query `query_id`: detaches its result edges and removes
+  // its union and sink, and marks the id free in the chain spec
+  // (query_boundary = -1). The slices it used remain (call MergeSlices to
+  // compact afterwards, as the paper suggests).
   void RemoveQuery(int query_id);
 
  private:
@@ -89,8 +80,9 @@ class ChainMigrator {
 // Asserts (CHECK-fails on violation) that a state-slice BuiltPlan's chain
 // metadata is internally consistent — slices contiguous from 0, boundary
 // indices matching join->range(), partition matching the slices, and every
-// live query registered at the boundary its window names. Holds right after
-// BuildStateSlicePlan and after every ChainMigrator operation.
+// live query (query_boundary >= 0) registered at the boundary its window
+// names. Holds right after BuildStateSlicePlan and after every
+// ChainMigrator operation.
 // `check_indexes` additionally walks every slice state's per-key probe
 // index (BasicJoinState::CheckIndexConsistency) — an O(total window state)
 // scan, so tests opt in while the Engine's production migration path keeps

@@ -4,9 +4,10 @@
 // replicas of the shared sliced chain — each with its own QueryPlan, arena,
 // SlotRing states, and CostCounters — plus one small *merge plan* that
 // re-establishes global timestamp order across the shard result streams
-// before the authoritative sinks. Since every equi-key lands in exactly
-// one shard and equi-join results only pair equal keys, the union of the
-// per-shard result multisets is exactly the unsharded result multiset;
+// before each query's one QuerySink (the replicas hold none). Since every
+// equi-key lands in exactly one shard and equi-join results only pair
+// equal keys, the union of the per-shard result multisets is exactly the
+// unsharded result multiset;
 // the per-query UnionMerge (watermark-driven, the paper's Section 4.3
 // machinery) restores the timestamp order the deterministic scheduler
 // would have delivered.
@@ -29,13 +30,13 @@ namespace stateslice {
 struct ShardedPlanSet {
   // One full chain replica per shard.
   std::vector<BuiltPlan> shards;
-  // exits[shard][query]: exit tap on the shard plan carrying a copy of
-  // everything the shard's own per-query sink receives (results and
-  // punctuations, timestamp-ordered). Drained by the shard's executor.
+  // exits[shard][query]: exit tap on the query's output in the shard
+  // plan, carrying its results and punctuations in timestamp order.
+  // Drained by the shard's executor.
   std::vector<std::vector<EventQueue*>> exits;
   // The merge plan: per query one UnionMerge with num_shards inputs
-  // feeding the authoritative CountingSink/CollectingSink. merge.entry is
-  // null — feed through merge_entries.
+  // feeding the query's QuerySink. merge.entry is null — feed through
+  // merge_entries.
   BuiltPlan merge;
   // merge_entries[shard][query]: entry queue into the merge plan's
   // UnionMerge input port for that shard.
@@ -45,16 +46,14 @@ struct ShardedPlanSet {
   int num_queries() const { return static_cast<int>(merge.queries.size()); }
 };
 
-// Builds one shard replica (a started BuiltPlan). Invoked num_shards
-// times; the Engine supplies its strategy dispatch here so this layer
-// stays strategy-agnostic.
+// Builds one shard replica (a started BuiltPlan without sinks). Invoked
+// num_shards times; the Engine supplies its strategy dispatch here so this
+// layer stays strategy-agnostic.
 using ShardBuildFn = std::function<BuiltPlan()>;
 
 // Replicates the plan across `num_shards` shards, taps each replica's
-// per-query result stream with an exit queue, and builds the started merge
-// plan. `merge_options.collect_results` controls whether the merge plan
-// (the authoritative result surface) gets CollectingSinks; replicas should
-// be built with collect_results=false to avoid duplicating result storage.
+// query outputs with exit queues, and builds the started merge plan with
+// its QuerySinks (collecting when `merge_options.collect_results`).
 ShardedPlanSet BuildShardedPlanSet(int num_shards,
                                    const std::vector<ContinuousQuery>& queries,
                                    const BuildOptions& merge_options,

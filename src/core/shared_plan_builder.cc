@@ -16,39 +16,14 @@
 namespace stateslice {
 namespace {
 
-// Creates the per-query sinks and returns the operator every result edge of
-// query q should ultimately feed. Both sink flavors receive the same edge
-// via output-port broadcast.
-void AttachSinks(QueryPlan* plan, Operator* producer, int out_port,
-                 const ContinuousQuery& q, const BuildOptions& options,
-                 BuiltPlan* built) {
-  auto* counting =
-      plan->AddOperator(std::make_unique<CountingSink>(q.name + ".sink"));
-  EventQueue* cq = plan->Connect(producer, out_port, counting, 0);
-  built->sinks[q.id] = counting;
-  built->sink_edges[q.id].push_back(SinkEdge{producer, out_port, cq,
-                                             counting});
-  if (options.collect_results) {
-    auto* collecting = plan->AddOperator(
-        std::make_unique<CollectingSink>(q.name + ".collect"));
-    EventQueue* xq = plan->Connect(producer, out_port, collecting, 0);
-    built->collectors[q.id] = collecting;
-    built->sink_edges[q.id].push_back(SinkEdge{producer, out_port, xq,
-                                               collecting});
-  }
-}
-
 BuiltPlan NewBuiltPlan(const std::vector<ContinuousQuery>& queries,
                        const BuildOptions& options) {
   BuiltPlan built;
   built.plan = std::make_unique<QueryPlan>();
   built.queries = queries;
   built.options = options;
-  built.sinks.assign(queries.size(), nullptr);
-  built.collectors.assign(queries.size(), nullptr);
-  built.sink_edges.assign(queries.size(), {});
+  built.outputs.assign(queries.size(), {});
   built.merges.assign(queries.size(), nullptr);
-  built.result_gates.assign(queries.size(), nullptr);
   return built;
 }
 
@@ -89,8 +64,7 @@ BuiltPlan BuildUnsharedPlans(const std::vector<ContinuousQuery>& queries,
     auto* join = plan->AddOperator(std::make_unique<SlidingWindowJoin>(
         q.name + ".join", q.window, q.window, jopt));
     plan->Connect(upstream, upstream_port, join, 0);
-    AttachSinks(plan, join, SlidingWindowJoin::kResultPort, q, options,
-                &built);
+    built.outputs[q.id] = {join, SlidingWindowJoin::kResultPort};
   }
   plan->Start();
   return built;
@@ -155,7 +129,7 @@ BuiltPlan BuildPullUpPlan(const std::vector<ContinuousQuery>& queries,
       upstream = gate;
       upstream_port = ResultGate::kOutPort;
     }
-    AttachSinks(plan, upstream, upstream_port, q, options, &built);
+    built.outputs[q.id] = {upstream, upstream_port};
   };
   for (size_t b = 0; b < branch_query.size(); ++b) {
     wire_query(queries[branch_query[b]], static_cast<int>(b));
@@ -236,11 +210,10 @@ BuiltPlan BuildPushDownPlan(const std::vector<ContinuousQuery>& queries,
           std::make_unique<Router>("router", branches, all_port));
       p2->Connect(join, SlidingWindowJoin::kResultPort, router, 0);
       for (size_t b = 0; b < branch_query.size(); ++b) {
-        AttachSinks(p2, router, static_cast<int>(b),
-                    queries[branch_query[b]], options, &redo);
+        redo.outputs[branch_query[b]] = {router, static_cast<int>(b)};
       }
       for (int q : all_queries) {
-        AttachSinks(p2, router, all_port, queries[q], options, &redo);
+        redo.outputs[q] = {router, all_port};
       }
       p2->Start();
       return redo;
@@ -333,8 +306,7 @@ BuiltPlan BuildPushDownPlan(const std::vector<ContinuousQuery>& queries,
   // Filtered queries read join_true only; selection-free queries merge both
   // partitions through an order-preserving union.
   for (int qid : filtered) {
-    AttachSinks(plan, router_true, true_port_of(qid), queries[qid], options,
-                &built);
+    built.outputs[qid] = {router_true, true_port_of(qid)};
   }
   for (int qid : plain) {
     auto* merge = plan->AddOperator(std::make_unique<UnionMerge>(
@@ -342,8 +314,7 @@ BuiltPlan BuildPushDownPlan(const std::vector<ContinuousQuery>& queries,
     plan->Connect(router_false, false_port_of(qid), merge, 0);
     plan->Connect(router_true, true_port_of(qid), merge, 1);
     built.merges[qid] = merge;
-    AttachSinks(plan, merge, UnionMerge::kOutPort, queries[qid], options,
-                &built);
+    built.outputs[qid] = {merge, UnionMerge::kOutPort};
   }
   plan->Start();
   return built;
@@ -509,14 +480,13 @@ LevelWiring BuildChainLevel(QueryPlan* plan, BuiltPlan* built,
       auto* merge = plan->AddOperator(std::make_unique<UnionMerge>(
           q.name + ".union", edge_count[q.id]));
       built->merges[gid] = merge;
-      AttachSinks(plan, merge, UnionMerge::kOutPort, built->queries[gid],
-                  options, built);
+      built->outputs[gid] = {merge, UnionMerge::kOutPort};
     }
   }
 
   // Wires one result edge from `producer` to local query `local_id`,
-  // inserting gates as needed; terminates at the query's union, directly
-  // at its sinks, or — for the pass-through — at the next level's feed.
+  // inserting gates as needed; terminates at the query's union, as the
+  // query's output, or — for the pass-through — at the next level's feed.
   auto wire_result_edge = [&](Operator* producer, int port, int local_id,
                               bool needs_gate, int slice_index) {
     Operator* upstream = producer;
@@ -579,10 +549,9 @@ LevelWiring BuildChainLevel(QueryPlan* plan, BuiltPlan* built,
                                                upstream_port, eq,
                                                built->merges[gid], p});
     } else {
-      AttachSinks(plan, upstream, upstream_port, gq, options, built);
-      built->result_edges.push_back(ResultEdge{gid, slice_index, upstream,
-                                               upstream_port, nullptr,
-                                               nullptr, 0});
+      built->outputs[gid] = {upstream, upstream_port};
+      built->result_edges.push_back(
+          ResultEdge{gid, slice_index, upstream, upstream_port});
     }
   };
 
@@ -716,6 +685,24 @@ BuiltPlan BuildStateSlicePlan(const std::vector<ContinuousQuery>& queries,
   }
   plan->Start();
   return built;
+}
+
+void AttachQuerySinks(BuiltPlan* built) {
+  SLICE_CHECK(built->sinks.empty());
+  QueryPlan* plan = built->plan.get();
+  built->sinks.assign(built->queries.size(), nullptr);
+  for (const ContinuousQuery& q : built->queries) {
+    const QueryOutput& out = built->outputs[q.id];
+    // QuerySink has no Start() hook, so wiring it into the started plan
+    // before the first event is the same as wiring it before Start().
+    auto* sink = plan->AddOperator(std::make_unique<QuerySink>(
+        q.name + ".sink", built->options.collect_results));
+    EventQueue* queue = plan->Connect(out.producer, out.port, sink, 0);
+    built->sinks[q.id] = sink;
+    for (ResultEdge& edge : built->result_edges) {
+      if (edge.query_id == q.id && edge.merge == nullptr) edge.queue = queue;
+    }
+  }
 }
 
 }  // namespace stateslice

@@ -12,8 +12,10 @@
 //                          (Sections 4-6, Figs. 10/12/13/15).
 //
 // All plans expose a single globally-ordered entry queue carrying both
-// streams, one CountingSink per query, and optional CollectingSinks for
-// equivalence tests.
+// streams and record each query's output (the operator port its results
+// leave by). The builders attach no sinks: AttachQuerySinks gives the
+// result plan one QuerySink per query, while a shard replica's outputs
+// feed exit queues instead (sharded_plan.h).
 #ifndef STATESLICE_CORE_SHARED_PLAN_BUILDER_H_
 #define STATESLICE_CORE_SHARED_PLAN_BUILDER_H_
 
@@ -34,7 +36,8 @@ namespace stateslice {
 // Construction knobs shared by all builders.
 struct BuildOptions {
   JoinCondition condition = JoinCondition::EquiKey();
-  // Attach a CollectingSink per query (tests compare result multisets).
+  // QuerySinks keep every delivered result (tests compare result
+  // multisets).
   bool collect_results = false;
   // State-slice only: stamp lineage bitmasks once at entry and filter
   // between slices by mask (Section 6.1) instead of re-evaluating the
@@ -66,33 +69,34 @@ struct BuiltSlice {
   int full_port = 0;
 };
 
-// One result edge from a slice (or its router/gate) to a query's merge
-// input or sink fan-in.
+// One result edge from a slice (or its router/gate) to a query's union,
+// or straight to its sink when the query reads one slice.
 struct ResultEdge {
   int query_id = 0;
   int slice_index = 0;
   Operator* producer = nullptr;  // slice join, router, or gate
   int producer_port = 0;
-  EventQueue* queue = nullptr;  // null when terminating directly at sinks
-  UnionMerge* merge = nullptr;  // null when the edge feeds sinks directly
+  // The edge's queue: into the union, or into the sink for a direct-wired
+  // query (null until AttachQuerySinks wires the sink).
+  EventQueue* queue = nullptr;
+  UnionMerge* merge = nullptr;  // null when the edge feeds the sink directly
   int merge_port = 0;
 };
 
-// One edge from a result producer into a terminal sink operator.
-struct SinkEdge {
+// Where one query's results leave the shared plan: the output port of its
+// union, gate, router branch or slice.
+struct QueryOutput {
   Operator* producer = nullptr;
-  int producer_port = 0;
-  EventQueue* queue = nullptr;
-  Operator* sink = nullptr;
+  int port = 0;
 };
 
 // A fully wired, started executable plan.
 struct BuiltPlan {
   std::unique_ptr<QueryPlan> plan;
   EventQueue* entry = nullptr;               // feed all streams here
-  std::vector<CountingSink*> sinks;          // [query id]
-  std::vector<CollectingSink*> collectors;   // [query id]; null w/o collect
-  std::vector<std::vector<SinkEdge>> sink_edges;  // [query id]
+  std::vector<QueryOutput> outputs;          // [query id]
+  // [query id]; empty until AttachQuerySinks, null for a removed query.
+  std::vector<QuerySink*> sinks;
 
   // State-slice metadata (empty for other strategies).
   // For an N-way tree, `chain` holds level 0's chain plan, `slices` holds
@@ -105,10 +109,6 @@ struct BuiltPlan {
   std::vector<int> slice_level;              // parallel to `slices`
   std::vector<UnionMerge*> merges;           // [query id]; null if direct
   std::vector<ResultEdge> result_edges;
-  // [query id] fresh-start ResultTimeGate in front of the query's sinks
-  // (queries registered on a running chain; see ChainMigrator::AddQuery).
-  // Null for queries wired at build time.
-  std::vector<ResultTimeGate*> result_gates;
 
   // The queries the plan was built for (by value; migration updates it).
   std::vector<ContinuousQuery> queries;
@@ -156,6 +156,12 @@ BuiltPlan BuildStateSlicePlan(const std::vector<ContinuousQuery>& queries,
 BuiltPlan BuildStateSlicePlan(const std::vector<ContinuousQuery>& queries,
                               const JoinTreePlan& tree,
                               const BuildOptions& options = {});
+
+// Makes `built` a result plan: one QuerySink per query on its output
+// (collecting when built.options.collect_results), recorded in
+// built->sinks, and each direct-wired ResultEdge gets its slice -> sink
+// queue. Call once, after building and before the first event.
+void AttachQuerySinks(BuiltPlan* built);
 
 }  // namespace stateslice
 

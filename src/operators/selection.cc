@@ -1,6 +1,5 @@
 #include "src/operators/selection.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -141,39 +140,6 @@ void ResultGate::Process(Event event, int input_port) {
 
 void ResultGate::Finish() {
   Emit(kOutPort, Punctuation{.watermark = kMaxTime});
-}
-
-// ----------------------------------------------------------- ResultTimeGate
-
-ResultTimeGate::ResultTimeGate(std::string name, TimePoint cutoff)
-    : Operator(std::move(name)), cutoff_(cutoff) {}
-
-void ResultTimeGate::Process(Event event, int input_port) {
-  SLICE_CHECK_EQ(input_port, 0);
-  if (IsPunctuation(event)) {
-    Emit(kOutPort, event);
-    return;
-  }
-  SLICE_CHECK(IsJoinResult(event));
-  const JoinResult& r = std::get<JoinResult>(event);
-  // Fresh-start semantics require *every* constituent at or after the
-  // cutoff, so gate on the oldest across all N parts.
-  TimePoint older = r.a.timestamp;
-  for (int i = 1; i < r.size(); ++i) {
-    older = std::min(older, r.part(i).timestamp);
-  }
-  Charge(CostCategory::kGate, 1);
-  if (older >= cutoff_) {
-    EmitMove(kOutPort, std::move(event));
-  }
-}
-
-void ResultTimeGate::Finish() {
-  Emit(kOutPort, Punctuation{.watermark = kMaxTime});
-}
-
-void ResultTimeGate::OnRun(EventRun& run, int input_port) {
-  for (Event& event : run) ResultTimeGate::Process(std::move(event), input_port);
 }
 
 }  // namespace stateslice

@@ -1,6 +1,6 @@
 // Filter operators: tuple selections, lineage stamping, and result gates.
 //
-// Three flavors are used by the sharing strategies of the paper:
+// Four flavors are used by the sharing strategies of the paper:
 //  - Selection:      σ on raw stream tuples (σ_A in the running example, and
 //                    the inter-slice disjunction filters σ'_i of Fig. 15);
 //  - LineageStamper: optional Section-6.1 optimization — evaluates all query
@@ -103,30 +103,6 @@ class ResultGate : public Operator {
  private:
   Predicate predicate_;
   StreamId target_side_;
-};
-
-// Passes JoinResults whose *older* constituent arrived at or after a cutoff
-// timestamp. A query registered on a running chain (Section 5.3) inherits
-// the shared slice states, so the chain also produces pairs joining new
-// arrivals with pre-registration state; gating on min(Ta, Tb) >= cutoff
-// gives the registration fresh-start semantics — the query observes exactly
-// the tuples pushed after it registered — independent of sharing strategy.
-// One kGate comparison per result; punctuations are forwarded.
-class ResultTimeGate : public Operator {
- public:
-  static constexpr int kOutPort = 0;
-
-  ResultTimeGate(std::string name, TimePoint cutoff);
-
-  void Process(Event event, int input_port) override;
-  // Run path: the devirtualized per-event loop (one virtual hop per run).
-  void OnRun(EventRun& run, int input_port) override;
-  void Finish() override;
-
-  TimePoint cutoff() const { return cutoff_; }
-
- private:
-  TimePoint cutoff_;
 };
 
 }  // namespace stateslice

@@ -3,34 +3,43 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/arena.h"
+
 namespace stateslice {
 
-void CountingSink::Process(Event event, int /*input_port*/) {
-  if (const Punctuation* p = std::get_if<Punctuation>(&event)) {
-    if (p->watermark > watermark_) watermark_ = p->watermark;
-    return;
+void QuerySink::Process(Event event, int /*input_port*/) {
+  JoinResult* r = std::get_if<JoinResult>(&event);
+  if (r == nullptr) return;  // punctuations carry no result
+  if (cutoff_ > 0) {
+    // Fresh start requires *every* constituent at or after the cutoff.
+    TimePoint older = r->a.timestamp;
+    for (int i = 1; i < r->size(); ++i) {
+      older = std::min(older, r->part(i).timestamp);
+    }
+    Charge(CostCategory::kGate, 1);
+    if (older < cutoff_) return;
   }
-  const TimePoint t = EventTime(event);
-  if (t < last_time_) ordered_ = false;
-  last_time_ = t;
-  if (IsJoinResult(event)) {
-    ++result_count_;
-  } else {
-    ++tuple_count_;
+  ++result_count_;
+  if (r->timestamp() < last_time_) ordered_ = false;
+  last_time_ = r->timestamp();
+  if (subscribers_ != nullptr && !subscribers_->empty()) {
+    // Suspend the scheduler's plan-arena scope for the user callbacks:
+    // composite copies they make must go to the global heap so they may
+    // outlive the plan epoch.
+    ArenaScope suspend(nullptr);
+    for (const Subscriber& s : *subscribers_) s.callback(*r);
   }
-}
-
-void CollectingSink::Process(Event event, int /*input_port*/) {
-  if (IsPunctuation(event)) return;
-  const TimePoint t = EventTime(event);
-  if (t < last_time_) ordered_ = false;
-  last_time_ = t;
-  if (JoinResult* r = std::get_if<JoinResult>(&event)) {
+  if (collect_) {
+    // lint: allow(hot-path-alloc) -- collect_results is a test-only mode
     results_.push_back(std::move(*r));
   }
 }
 
-std::map<std::string, int> CollectingSink::ResultMultiset() const {
+void QuerySink::OnRun(EventRun& run, int input_port) {
+  for (Event& event : run) QuerySink::Process(std::move(event), input_port);
+}
+
+std::map<std::string, int> QuerySink::ResultMultiset() const {
   std::map<std::string, int> multiset;
   for (const JoinResult& r : results_) {
     ++multiset[JoinPairKey(r)];
@@ -38,8 +47,8 @@ std::map<std::string, int> CollectingSink::ResultMultiset() const {
   return multiset;
 }
 
-std::vector<std::pair<TimePoint, std::string>>
-CollectingSink::TimeSortedResults() const {
+std::vector<std::pair<TimePoint, std::string>> QuerySink::TimeSortedResults()
+    const {
   std::vector<std::pair<TimePoint, std::string>> sorted;
   sorted.reserve(results_.size());
   for (const JoinResult& r : results_) {

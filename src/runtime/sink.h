@@ -1,13 +1,24 @@
-// Result sinks: terminal operators that receive a query's output.
+// QuerySink: the one terminal operator of a query's output.
 //
-// Each continuous query registered with a shared plan gets its own sink
-// (the paper's "data receivers", Section 7.1). Sinks count results for
-// service-rate metrics; the collecting variant additionally stores results
-// for equivalence tests.
+// Each continuous query of the result plan gets exactly one QuerySink (the
+// paper's "data receiver", Section 7.1), fed by the query's union, router
+// branch or slice. It does everything a delivered result needs:
+//  - the fresh-start cutoff of a query registered on a running chain: a
+//    result passes iff every constituent arrived at or after the cutoff
+//    (one kGate comparison per result, the gate's paper-unit charge);
+//  - the result count;
+//  - the result list, when the plan was built with collect_results (tests
+//    compare result multisets);
+//  - the query's subscribed callbacks, which the sink reads through a
+//    pointer to their owner's list, so subscriptions survive plan rebuilds
+//    and migrations without rewiring.
+// Shard replicas hold no sink: their query outputs leave through exit
+// queues into the merge plan, which carries the sinks.
 #ifndef STATESLICE_RUNTIME_SINK_H_
 #define STATESLICE_RUNTIME_SINK_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -17,58 +28,54 @@
 
 namespace stateslice {
 
-// Counts joined results delivered to one query output; drops payloads.
-class CountingSink : public Operator {
- public:
-  explicit CountingSink(std::string name) : Operator(std::move(name)) {}
+// Invoked for every JoinResult delivered to a subscribed query.
+using ResultCallback = std::function<void(const JoinResult&)>;
 
-  void Process(Event event, int input_port) override;
-
-  // Number of JoinResult events received.
-  uint64_t result_count() const { return result_count_; }
-  // Number of bare Tuple events received (for selection-only plans).
-  uint64_t tuple_count() const { return tuple_count_; }
-  // Highest punctuation watermark seen.
-  TimePoint watermark() const { return watermark_; }
-
-  // True while every received event's timestamp has been >= all previously
-  // received event timestamps (order-preservation check for union outputs).
-  bool saw_ordered_stream() const { return ordered_; }
-
- private:
-  uint64_t result_count_ = 0;
-  uint64_t tuple_count_ = 0;
-  TimePoint watermark_ = kMinTime;
-  TimePoint last_time_ = kMinTime;
-  bool ordered_ = true;
+// One subscribed callback and its subscription token.
+struct Subscriber {
+  uint64_t token = 0;
+  ResultCallback callback;
 };
 
-// Stores every JoinResult (identity key + timestamp) for test comparison.
-class CollectingSink : public Operator {
+class QuerySink : public Operator {
  public:
-  explicit CollectingSink(std::string name) : Operator(std::move(name)) {}
+  QuerySink(std::string name, bool collect)
+      : Operator(std::move(name)), collect_(collect) {}
 
   void Process(Event event, int input_port) override;
+  // Run path: the devirtualized per-event loop (one virtual hop per run).
+  void OnRun(EventRun& run, int input_port) override;
 
-  const std::vector<JoinResult>& results() const { return results_; }
+  // Fresh-start semantics from `cutoff` on (> 0); 0 leaves the sink ungated.
+  void set_cutoff(TimePoint cutoff) { cutoff_ = cutoff; }
+  TimePoint cutoff() const { return cutoff_; }
+  // The callbacks to run per delivered result; the list must outlive the
+  // sink (or be rebound) and changes only while the plan is quiescent.
+  void set_subscribers(const std::vector<Subscriber>* subscribers) {
+    subscribers_ = subscribers;
+  }
+
+  // Results delivered (past the cutoff).
+  uint64_t result_count() const { return result_count_; }
 
   // Multiset of JoinPairKey() -> count; the canonical form used by the
   // chain-equivalence property tests (Theorems 1-3).
   std::map<std::string, int> ResultMultiset() const;
 
   // Result identity keys sorted by (timestamp, key): the timestamp-order
-  // canonical form for comparing a sharded run against the deterministic
-  // reference. Two runs that deliver the same results in the same
-  // per-timestamp order compare equal even when same-timestamp ties were
-  // released in a different arrival order.
+  // canonical form for comparing runs whose same-timestamp ties may have
+  // been released in a different arrival order.
   std::vector<std::pair<TimePoint, std::string>> TimeSortedResults() const;
 
-  // True if result timestamps arrived in non-decreasing order.
+  // True while every delivered result's timestamp has been >= all earlier
+  // ones (order-preservation check for union outputs).
   bool saw_ordered_stream() const { return ordered_; }
 
-  uint64_t result_count() const { return results_.size(); }
-
  private:
+  bool collect_;
+  TimePoint cutoff_ = 0;
+  const std::vector<Subscriber>* subscribers_ = nullptr;
+  uint64_t result_count_ = 0;
   std::vector<JoinResult> results_;
   TimePoint last_time_ = kMinTime;
   bool ordered_ = true;

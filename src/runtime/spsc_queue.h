@@ -10,10 +10,12 @@
 //
 // The queue keeps the same accounting as the deterministic EventQueue
 // (high_water_mark / total_pushed) so queue-memory reporting works in both
-// execution modes. Both counters are maintained by the producer; the
-// high-water mark is computed against the producer's cached view of the
-// consumer position, so it can over-estimate occupancy by the consumer's
-// lag, but never exceeds the capacity.
+// execution modes. Both counters are maintained by the producer. The
+// high-water mark is sampled only when the producer reloads the consumer
+// position (its cached view looked full): the occupancy right after that
+// push, or the capacity when the ring really was full. It never exceeds
+// the true peak occupancy, and it reaches the capacity only when a push
+// had to wait.
 #ifndef STATESLICE_RUNTIME_SPSC_QUEUE_H_
 #define STATESLICE_RUNTIME_SPSC_QUEUE_H_
 
@@ -98,10 +100,15 @@ class SpscQueue {
     // lint: allow(atomic-memory-order) -- producer-owned index, self-read
     const uint64_t tail = STATESLICE_ATOMIC_LOAD_OWNER(
         "spsc.push.tail_read", tail_, std::memory_order_relaxed);
+    bool refreshed = false;
     if (tail - head_cache_ >= capacity_) {
       head_cache_ = STATESLICE_ATOMIC_LOAD("spsc.push.head_refresh", head_,
                                            std::memory_order_acquire);
-      if (tail - head_cache_ >= capacity_) return false;
+      if (tail - head_cache_ >= capacity_) {
+        RecordHighWater(capacity_);
+        return false;
+      }
+      refreshed = true;
     }
     STATESLICE_SYNC_PLAIN_WRITE("spsc.push.slot", &slots_[tail & mask_]);
     slots_[tail & mask_] = std::move(value);
@@ -110,16 +117,7 @@ class SpscQueue {
     // lint: allow(atomic-memory-order) -- single-writer accounting counter
     STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("spsc.push.total", total_pushed_,
                                            1, std::memory_order_relaxed);
-    const uint64_t occupancy = tail + 1 - head_cache_;
-    // lint: allow(atomic-memory-order) -- single-writer accounting counter
-    if (occupancy > STATESLICE_ATOMIC_ACCOUNTING_LOAD(
-                        "spsc.push.hwm_read", high_water_mark_,
-                        std::memory_order_relaxed)) {
-      // lint: allow(atomic-memory-order) -- single-writer accounting counter
-      STATESLICE_ATOMIC_ACCOUNTING_STORE("spsc.push.hwm_write",
-                                         high_water_mark_, occupancy,
-                                         std::memory_order_relaxed);
-    }
+    if (refreshed) RecordHighWater(tail + 1 - head_cache_);
     return true;
   }
 
@@ -135,11 +133,16 @@ class SpscQueue {
     const uint64_t tail = STATESLICE_ATOMIC_LOAD_OWNER(
         "spsc.push_run.tail_read", tail_, std::memory_order_relaxed);
     size_t space = static_cast<size_t>(capacity_ - (tail - head_cache_));
+    bool refreshed = false;
     if (space == 0) {
       head_cache_ = STATESLICE_ATOMIC_LOAD("spsc.push_run.head_refresh",
                                            head_, std::memory_order_acquire);
       space = static_cast<size_t>(capacity_ - (tail - head_cache_));
-      if (space == 0) return 0;
+      if (space == 0) {
+        RecordHighWater(capacity_);
+        return 0;
+      }
+      refreshed = true;
     }
     const size_t want = run->size() - from;
     const size_t count = want < space ? want : space;
@@ -154,16 +157,7 @@ class SpscQueue {
     STATESLICE_ATOMIC_ACCOUNTING_FETCH_ADD("spsc.push_run.total",
                                            total_pushed_, count,
                                            std::memory_order_relaxed);
-    const uint64_t occupancy = tail + count - head_cache_;
-    // lint: allow(atomic-memory-order) -- single-writer accounting counter
-    if (occupancy > STATESLICE_ATOMIC_ACCOUNTING_LOAD(
-                        "spsc.push_run.hwm_read", high_water_mark_,
-                        std::memory_order_relaxed)) {
-      // lint: allow(atomic-memory-order) -- single-writer accounting counter
-      STATESLICE_ATOMIC_ACCOUNTING_STORE("spsc.push_run.hwm_write",
-                                         high_water_mark_, occupancy,
-                                         std::memory_order_relaxed);
-    }
+    if (refreshed) RecordHighWater(tail + count - head_cache_);
     return count;
   }
 
@@ -226,7 +220,7 @@ class SpscQueue {
 
   size_t capacity() const { return capacity_; }
 
-  // Largest producer-observed occupancy (see file comment for precision).
+  // Largest occupancy sampled at a head reload (see the file comment).
   size_t high_water_mark() const {
     // lint: allow(atomic-memory-order) -- stale-snapshot accounting read
     return STATESLICE_ATOMIC_ACCOUNTING_LOAD("spsc.hwm", high_water_mark_,
@@ -241,6 +235,20 @@ class SpscQueue {
   }
 
  private:
+  // Raises the high-water mark to `occupancy`. Producer thread only.
+  void RecordHighWater(uint64_t occupancy)
+      STATESLICE_REQUIRES(producer_role_) {
+    // lint: allow(atomic-memory-order) -- single-writer accounting counter
+    if (occupancy > STATESLICE_ATOMIC_ACCOUNTING_LOAD(
+                        "spsc.push.hwm_read", high_water_mark_,
+                        std::memory_order_relaxed)) {
+      // lint: allow(atomic-memory-order) -- single-writer accounting counter
+      STATESLICE_ATOMIC_ACCOUNTING_STORE("spsc.push.hwm_write",
+                                         high_water_mark_, occupancy,
+                                         std::memory_order_relaxed);
+    }
+  }
+
   // Cache-line layout: the two shared indices get a line each, then one
   // line of producer-written state and one line of consumer-written state,
   // so neither side's per-operation writes invalidate a line the other

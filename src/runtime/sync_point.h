@@ -1,8 +1,8 @@
 // Schedule-test instrumentation for the lock-free runtime primitives.
 //
 // The sharded runtime's correctness rests on a small memory-ordering
-// protocol (SpscQueue's head/tail publication, the shard execution tokens
-// and close flags).
+// protocol (SpscQueue's head/tail publication and the shards' close
+// flags).
 // Thread Safety Analysis proves *which thread* may touch what; it cannot
 // prove the protocol's memory orders correct — a single misplaced
 // memory_order_relaxed passes TSA, clang-tidy, and most TSan runs. The

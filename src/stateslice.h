@@ -13,8 +13,9 @@
 //     stateslice::Engine owns the shared plan, scheduler and metrics for
 //     its whole lifetime; queries register and unregister online (routed
 //     through ChainMigrator when the chain allows, drain-rebuild
-//     otherwise), tuples arrive by Push, and results leave through
-//     counting sinks or Subscribe callbacks.
+//     otherwise), tuples arrive by Push, and results leave through each
+//     query's one sink: its count, its collected results, and its
+//     Subscribe callbacks.
 //
 //       Engine engine({.strategy = SharingStrategy::kStateSlice});
 //       QueryHandle q = engine.RegisterQuery(
@@ -28,12 +29,13 @@
 //     is made of, kept public for experiments that need what the Engine
 //     deliberately does not expose (hand-picked partitions, slice-state
 //     inspection, BuildOptions::use_key_index): BuildMemOptChain/
-//     BuildCpuOptChain + the Build*Plan() strategy builders + sinks,
-//     ReplayArrivals to drive a built plan, and ChainMigrator for manual
-//     Section 5.3 surgery.
+//     BuildCpuOptChain + the Build*Plan() strategy builders +
+//     AttachQuerySinks, ReplayArrivals to drive a built plan, and
+//     ChainMigrator for manual Section 5.3 surgery.
 //
 //       ChainPlan chain = BuildMemOptChain(queries);
 //       BuiltPlan built = BuildStateSlicePlan(queries, chain, {...});
+//       AttachQuerySinks(&built);
 //       ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(w));
 //       uint64_t comparisons = built.plan->cost_counters().Total();
 #ifndef STATESLICE_STATESLICE_H_

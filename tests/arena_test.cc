@@ -148,7 +148,7 @@ TEST(TailVecTest, MoveTransfersSpilledBlockWithoutArenaTraffic) {
 // Subscription callbacks copy composite results out of the engine. Those
 // copies must stay valid across mid-stream churn (drain-flush rebuilds on
 // a multi-level tree replace the plan *and its arena*) and after the
-// engine itself is gone — CallbackSink suspends the arena scope, so
+// engine itself is gone — QuerySink suspends the arena scope, so
 // callback-side copies are heap-backed.
 TEST(ArenaLifetimeTest, CallbackCopiesSurviveChurnRebuildsAndEngineDeath) {
   WorkloadSpec spec;

@@ -87,9 +87,9 @@ TEST_P(ChainEquivalenceTest, EveryQueryMatchesOracle) {
     const auto expected =
         OracleJoin(workload.stream_a, workload.stream_b, workload.condition,
                    q);
-    const auto actual = built.collectors[q.id]->ResultMultiset();
+    const auto actual = built.sinks[q.id]->ResultMultiset();
     EXPECT_EQ(actual, expected) << q.DebugString() << " under " << c.name;
-    EXPECT_TRUE(built.collectors[q.id]->saw_ordered_stream())
+    EXPECT_TRUE(built.sinks[q.id]->saw_ordered_stream())
         << q.DebugString() << ": results were not timestamp-ordered";
   }
 }
@@ -256,8 +256,8 @@ TEST(CountWindowChainTest, SlicedChainMatchesRegularCountJoin) {
   RunPlan(&unshared, workload);
 
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(sliced.collectors[q.id]->ResultMultiset(),
-              unshared.collectors[q.id]->ResultMultiset())
+    EXPECT_EQ(sliced.sinks[q.id]->ResultMultiset(),
+              unshared.sinks[q.id]->ResultMultiset())
         << q.DebugString();
   }
 }

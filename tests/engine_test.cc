@@ -451,6 +451,90 @@ TEST(EngineTest, UnsubscribeStopsDelivery) {
   EXPECT_GT(engine.ResultCount(h), at_unsubscribe);  // query kept running
 }
 
+// The delivery contract: every subscribed callback sees exactly the
+// query's ResultCount delta over the subscription's lifetime, in timestamp
+// order, through an in-place split (deterministic mode; sharded mode
+// rebuilds there), a drain-rebuild, an unsubscribe of one of two callbacks
+// and a Checkpoint/Restore.
+class DeliveryContractTest : public ::testing::TestWithParam<ExecutionMode> {
+};
+
+// Counts one subscription's callbacks and checks their timestamp order.
+struct Delivery {
+  uint64_t count = 0;
+  TimePoint last = kMinTime;
+  bool ordered = true;
+  ResultCallback Callback() {
+    return [this](const JoinResult& r) {
+      ++count;
+      ordered &= r.timestamp() >= last;
+      last = r.timestamp();
+    };
+  }
+};
+
+TEST_P(DeliveryContractTest, CallbacksSeeExactlyTheirResultCountDelta) {
+  Workload workload = SmallWorkload(97, 16);
+  RekeyForEquiJoin(&workload, /*key_domain=*/8, /*seed=*/97);
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  const auto cut = [&merged](int sixth) {
+    return StrictIncreaseAt(merged, merged.size() * sixth / 6);
+  };
+  Engine::Options options = BaseOptions(workload);
+  options.mode = GetParam();
+  options.shard_count = 2;
+  Engine engine(options);
+  const QueryHandle q1 = engine.RegisterQuery(PlainQuery(2, "Q1"));
+  ASSERT_TRUE(engine.RegisterQuery(PlainQuery(6, "Q2")).valid());
+  Delivery kept, dropped, late;
+  ASSERT_TRUE(engine.Subscribe(q1, kept.Callback()).valid());
+  const SubscriptionId drop = engine.Subscribe(q1, dropped.Callback());
+  ASSERT_TRUE(drop.valid());
+
+  PushRange(&engine, merged, 0, cut(1));
+  // A 4 s window splits the [2, 6) slice (in place when deterministic).
+  ASSERT_TRUE(engine.RegisterQuery(PlainQuery(4, "Q3")).valid());
+  PushRange(&engine, merged, cut(1), cut(2));
+  engine.Drain();  // no result in flight across the unsubscribe
+  const uint64_t at_unsubscribe = engine.ResultCount(q1);
+  ASSERT_TRUE(engine.Unsubscribe(drop));
+  // A filtered query drain-rebuilds the plan.
+  ContinuousQuery filtered = PlainQuery(3, "Q4");
+  filtered.selection_a = Predicate::GreaterThan(0.5);
+  ASSERT_TRUE(engine.RegisterQuery(filtered).valid());
+  EXPECT_GE(engine.rebuilds(), 1u);
+  PushRange(&engine, merged, cut(2), cut(4));
+
+  std::string snapshot;
+  ASSERT_TRUE(engine.Checkpoint(&snapshot)) << engine.last_error();
+  Engine restored(options);
+  ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
+  const uint64_t at_restore = restored.ResultCount(q1);
+  ASSERT_TRUE(restored.Subscribe(q1, late.Callback()).valid());
+  PushRange(&engine, merged, cut(4), merged.size());
+  PushRange(&restored, merged, cut(4), merged.size());
+  engine.Finish();
+  restored.Finish();
+
+  if (GetParam() == ExecutionMode::kDeterministic) {
+    EXPECT_GE(engine.migrations(), 1u);
+  }
+  EXPECT_GT(dropped.count, 0u);
+  EXPECT_EQ(dropped.count, at_unsubscribe);
+  EXPECT_EQ(kept.count, engine.ResultCount(q1));
+  EXPECT_GT(kept.count, at_unsubscribe);
+  EXPECT_EQ(late.count, restored.ResultCount(q1) - at_restore);
+  EXPECT_GT(late.count, 0u);
+  EXPECT_EQ(restored.ResultCount(q1), engine.ResultCount(q1));
+  for (const Delivery* d : {&kept, &dropped, &late}) {
+    EXPECT_TRUE(d->ordered);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, DeliveryContractTest,
+                         ::testing::Values(ExecutionMode::kDeterministic,
+                                           ExecutionMode::kSharded));
+
 TEST(EngineTest, ManualPollMode) {
   const Workload workload = SmallWorkload(47, 8);
   Engine::Options options = BaseOptions(workload);

@@ -45,11 +45,11 @@ TEST_P(FuzzEquivalenceTest, RandomConfigMatchesOracle) {
   RunPlan(&built, workload);
 
   for (const ContinuousQuery& q : config.queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
-    EXPECT_TRUE(built.collectors[q.id]->saw_ordered_stream())
+    EXPECT_TRUE(built.sinks[q.id]->saw_ordered_stream())
         << q.DebugString();
   }
 }
@@ -93,9 +93,9 @@ TEST_P(FuzzBaselineTest, BaselinesMatchOracle) {
   for (const ContinuousQuery& q : queries) {
     const auto expected = OracleJoin(workload.stream_a, workload.stream_b,
                                      workload.condition, q);
-    EXPECT_EQ(pullup.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(pullup.sinks[q.id]->ResultMultiset(), expected)
         << "pullup " << q.DebugString();
-    EXPECT_EQ(pushdown.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(pushdown.sinks[q.id]->ResultMultiset(), expected)
         << "pushdown " << q.DebugString();
   }
 }
@@ -127,6 +127,7 @@ TEST_P(FuzzMigrationTest, RandomSplitMergeScheduleKeepsResults) {
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
 
   std::vector<Tuple> merged;
   merged.insert(merged.end(), workload.stream_a.begin(),
@@ -163,7 +164,7 @@ TEST_P(FuzzMigrationTest, RandomSplitMergeScheduleKeepsResults) {
   scheduler.RunUntilQuiescent();
 
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();

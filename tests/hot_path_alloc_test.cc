@@ -172,7 +172,12 @@ void CheckSteadyStateZeroAlloc(int num_streams) {
   std::vector<std::string> names = {"A", "B", "C", "D", "E"};
   names.resize(static_cast<size_t>(num_streams));
   q.stream_names = names;
-  ASSERT_TRUE(engine.RegisterQuery(q).valid()) << engine.last_error();
+  const QueryHandle handle = engine.RegisterQuery(q);
+  ASSERT_TRUE(handle.valid()) << engine.last_error();
+  // The measured region runs the sink's callback delivery too.
+  uint64_t delivered = 0;
+  ASSERT_TRUE(engine.Subscribe(
+      handle, [&delivered](const JoinResult&) { ++delivered; }));
 
   FeedBatched(engine, feed.warm, warm_segments);
 
@@ -188,6 +193,7 @@ void CheckSteadyStateZeroAlloc(int num_streams) {
   EXPECT_GT(feed.steady.size(), 100u);  // the region actually measured work
   engine.Finish();
   EXPECT_GT(engine.Snapshot().results_delivered, 0u);
+  EXPECT_EQ(delivered, engine.ResultCount(handle));
 }
 
 TEST(HotPathAllocTest, ThreeWaySteadyStateIsAllocationFree) {
@@ -213,7 +219,11 @@ TEST(HotPathAllocTest, PerEventPushIsAllocationFreeToo) {
   Engine engine(eopt);
   ContinuousQuery q;
   q.window = WindowSpec::TimeSeconds(1);
-  ASSERT_TRUE(engine.RegisterQuery(q).valid()) << engine.last_error();
+  const QueryHandle handle = engine.RegisterQuery(q);
+  ASSERT_TRUE(handle.valid()) << engine.last_error();
+  uint64_t delivered = 0;
+  ASSERT_TRUE(engine.Subscribe(
+      handle, [&delivered](const JoinResult&) { ++delivered; }));
 
   for (const Tuple& t : feed.warm) engine.Push(t.side, t);
   const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -223,6 +233,8 @@ TEST(HotPathAllocTest, PerEventPushIsAllocationFreeToo) {
       << (after - before) << " heap allocations across "
       << feed.steady.size() << " per-event pushes";
   engine.Finish();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(delivered, engine.ResultCount(handle));
 }
 
 }  // namespace

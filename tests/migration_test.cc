@@ -34,6 +34,7 @@ BuiltPlan RunWithMidstreamMutation(std::vector<ContinuousQuery> queries,
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
 
   // Merge both streams into one global arrival order.
   std::vector<Tuple> merged;
@@ -82,7 +83,7 @@ TEST(MigrationTest, SplitPreservesAllQueryResults) {
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -101,7 +102,7 @@ TEST(MigrationTest, SplitOfFirstSliceRewiresDirectQuery) {
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -121,7 +122,7 @@ TEST(MigrationTest, MergePreservesAllQueryResults) {
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -139,7 +140,7 @@ TEST(MigrationTest, MergeThenSplitRoundTrip) {
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -160,10 +161,10 @@ TEST(MigrationTest, AddQueryReceivesResultsFromRegistrationOn) {
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   ASSERT_EQ(new_id, 2);
-  ASSERT_NE(built.collectors[new_id], nullptr);
+  ASSERT_NE(built.sinks[new_id], nullptr);
   // The old queries are unaffected.
   for (const ContinuousQuery& q : PlainQueries({2, 6})) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -176,7 +177,7 @@ TEST(MigrationTest, AddQueryReceivesResultsFromRegistrationOn) {
   q3.window = WindowSpec::TimeSeconds(4.0);
   const auto oracle = OracleJoin(workload.stream_a, workload.stream_b,
                                  workload.condition, q3);
-  const auto actual = built.collectors[new_id]->ResultMultiset();
+  const auto actual = built.sinks[new_id]->ResultMultiset();
   EXPECT_FALSE(actual.empty());
   for (const auto& [key, count] : actual) {
     auto it = oracle.find(key);
@@ -189,7 +190,7 @@ TEST(MigrationTest, RemoveQueryStopsDeliveryOthersUnaffected) {
   const auto queries = PlainQueries({2, 4, 8});
   const Workload workload = SmallWorkload(19);
   uint64_t count_at_removal = 0;
-  const CountingSink* removed_sink = nullptr;
+  const QuerySink* removed_sink = nullptr;
   BuiltPlan built = RunWithMidstreamMutation(
       queries, workload, /*head=*/150,
       [&count_at_removal, &removed_sink](BuiltPlan* plan) {
@@ -198,11 +199,12 @@ TEST(MigrationTest, RemoveQueryStopsDeliveryOthersUnaffected) {
         ChainMigrator migrator(plan);
         migrator.RemoveQuery(1);
         EXPECT_EQ(plan->sinks[1], nullptr);
+        EXPECT_EQ(plan->chain.spec.query_boundary[1], -1);  // id freed
         ValidateBuiltChain(*plan, /*check_indexes=*/true);
       });
   (void)removed_sink;  // destroyed by RemoveQuery; must not be dereferenced
   for (int qid : {0, 2}) {
-    EXPECT_EQ(built.collectors[qid]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[qid]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, queries[qid]))
         << queries[qid].DebugString();
@@ -217,6 +219,7 @@ TEST(MigrationTest, BoundaryMetadataStaysInSyncAcrossMigrations) {
   BuildOptions options;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
   ValidateBuiltChain(built, /*check_indexes=*/true);
   ChainMigrator migrator(&built);
 
@@ -270,6 +273,7 @@ TEST(MigrationTest, AddQueryWithResultsFromDeliversExactlySuffix) {
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
   RoundRobinScheduler scheduler(built.plan.get());
   size_t i = 0;
   for (; i < head; ++i) {
@@ -289,13 +293,13 @@ TEST(MigrationTest, AddQueryWithResultsFromDeliversExactlySuffix) {
 
   ContinuousQuery suffix_query;
   suffix_query.window = WindowSpec::TimeSeconds(4.0);
-  EXPECT_EQ(built.collectors[q3]->ResultMultiset(),
+  EXPECT_EQ(built.sinks[q3]->ResultMultiset(),
             testing::SegmentedOracle(workload.stream_a, workload.stream_b,
                                      workload.condition, suffix_query,
                                      cutoff, {}));
   // The old queries still deliver their full oracle.
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -308,6 +312,7 @@ TEST(MigrationDeathTest, RejectsFilteredChains) {
   BuildOptions options;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
   EXPECT_DEATH(ChainMigrator{&built}, "CHECK failed");
 }
 
@@ -316,6 +321,7 @@ TEST(MigrationDeathTest, SplitOutsideRangeAborts) {
   BuildOptions options;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
   ChainMigrator migrator(&built);
   EXPECT_DEATH(migrator.SplitSlice(0, SecondsToTicks(5.0)), "CHECK failed");
 }

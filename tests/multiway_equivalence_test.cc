@@ -132,13 +132,14 @@ TEST(MultiwayEquivalence, BuilderFuzzAgainstOracle) {
     options.collect_results = true;
     BuiltPlan built =
         BuildStateSlicePlan(config.queries, config.tree, options);
+    AttachQuerySinks(&built);
 
     ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(workload));
 
     for (const ContinuousQuery& q : config.queries) {
       const std::map<std::string, int> expected = MultiwayOracle(
           StreamPtrs(workload, q.num_streams()), workload.condition, q);
-      EXPECT_EQ(built.collectors[q.id]->ResultMultiset(), expected)
+      EXPECT_EQ(built.sinks[q.id]->ResultMultiset(), expected)
           << "seed=" << seed << " " << q.DebugString() << " "
           << config.DebugString();
     }

@@ -398,8 +398,9 @@ TEST(ParserTest, ParsedMultiwayQueryRunsEndToEnd) {
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptTree(queries), options);
+  AttachQuerySinks(&built);
   ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(workload));
-  EXPECT_EQ(built.collectors[0]->ResultMultiset(),
+  EXPECT_EQ(built.sinks[0]->ResultMultiset(),
             testing::MultiwayOracle(
                 {&workload.streams[0], &workload.streams[1],
                  &workload.streams[2]},
@@ -431,7 +432,7 @@ TEST(ParserTest, ParsedQueryRunsEndToEnd) {
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
   testing::RunPlan(&built, workload);
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               testing::OracleJoin(workload.stream_a, workload.stream_b,
                                   workload.condition, q));
   }

@@ -6,18 +6,18 @@
 
 #include "src/operators/split.h"
 #include "src/runtime/scheduler.h"
-#include "src/runtime/sink.h"
 #include "tests/test_util.h"
 
 namespace stateslice {
 namespace {
 
 using ::stateslice::testing::A;
+using ::stateslice::testing::TupleCounter;
 
 TEST(QueryPlanTest, WiresEntryToSink) {
   QueryPlan plan;
   auto* fanout = plan.AddOperator(std::make_unique<Fanout>("f"));
-  auto* sink = plan.AddOperator(std::make_unique<CountingSink>("s"));
+  auto* sink = plan.AddOperator(std::make_unique<TupleCounter>("s"));
   EventQueue* entry = plan.AddEntryQueue("entry", fanout, 0);
   plan.Connect(fanout, Fanout::kOutPort, sink, 0);
   plan.Start();
@@ -31,8 +31,8 @@ TEST(QueryPlanTest, WiresEntryToSink) {
 TEST(QueryPlanTest, OutputPortBroadcasts) {
   QueryPlan plan;
   auto* fanout = plan.AddOperator(std::make_unique<Fanout>("f"));
-  auto* s1 = plan.AddOperator(std::make_unique<CountingSink>("s1"));
-  auto* s2 = plan.AddOperator(std::make_unique<CountingSink>("s2"));
+  auto* s1 = plan.AddOperator(std::make_unique<TupleCounter>("s1"));
+  auto* s2 = plan.AddOperator(std::make_unique<TupleCounter>("s2"));
   EventQueue* entry = plan.AddEntryQueue("entry", fanout, 0);
   plan.Connect(fanout, Fanout::kOutPort, s1, 0);
   plan.Connect(fanout, Fanout::kOutPort, s2, 0);
@@ -49,7 +49,7 @@ TEST(QueryPlanTest, OutputPortBroadcasts) {
 TEST(QueryPlanTest, TotalStateAndQueueSizes) {
   QueryPlan plan;
   auto* fanout = plan.AddOperator(std::make_unique<Fanout>("f"));
-  auto* sink = plan.AddOperator(std::make_unique<CountingSink>("s"));
+  auto* sink = plan.AddOperator(std::make_unique<TupleCounter>("s"));
   EventQueue* entry = plan.AddEntryQueue("entry", fanout, 0);
   plan.Connect(fanout, Fanout::kOutPort, sink, 0);
   plan.Start();
@@ -61,7 +61,7 @@ TEST(QueryPlanTest, TotalStateAndQueueSizes) {
 TEST(QueryPlanTest, ToDotMentionsOperatorsAndEdges) {
   QueryPlan plan;
   auto* fanout = plan.AddOperator(std::make_unique<Fanout>("fan"));
-  auto* sink = plan.AddOperator(std::make_unique<CountingSink>("snk"));
+  auto* sink = plan.AddOperator(std::make_unique<TupleCounter>("snk"));
   plan.AddEntryQueue("entry", fanout, 0);
   plan.Connect(fanout, Fanout::kOutPort, sink, 0);
   const std::string dot = plan.ToDot();
@@ -92,7 +92,7 @@ TEST(QueryPlanTest, ExitQueueReceivesEvents) {
 TEST(QueryPlanTest, RemoveOperatorWhileRunning) {
   QueryPlan plan;
   auto* fanout = plan.AddOperator(std::make_unique<Fanout>("f"));
-  auto* sink = plan.AddOperator(std::make_unique<CountingSink>("s"));
+  auto* sink = plan.AddOperator(std::make_unique<TupleCounter>("s"));
   EventQueue* entry = plan.AddEntryQueue("entry", fanout, 0);
   EventQueue* mid = plan.Connect(fanout, Fanout::kOutPort, sink, 0);
   plan.Start();

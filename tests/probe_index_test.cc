@@ -213,16 +213,16 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
   for (const ContinuousQuery& q : config.queries) {
     const auto expected = OracleJoin(workload.stream_a, workload.stream_b,
                                      workload.condition, q);
-    EXPECT_EQ(indexed.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(indexed.sinks[q.id]->ResultMultiset(), expected)
         << "indexed " << q.DebugString();
-    EXPECT_EQ(nested.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(nested.sinks[q.id]->ResultMultiset(), expected)
         << "nested-loop " << q.DebugString();
     if (equi) {
       EXPECT_EQ(sharded.CollectedResults(handles[q.id]), expected)
           << "sharded+indexed " << q.DebugString();
     }
-    EXPECT_EQ(indexed.collectors[q.id]->TimeSortedResults(),
-              nested.collectors[q.id]->TimeSortedResults())
+    EXPECT_EQ(indexed.sinks[q.id]->TimeSortedResults(),
+              nested.sinks[q.id]->TimeSortedResults())
         << q.DebugString();
   }
 }
@@ -258,8 +258,8 @@ TEST(PlanEquivalenceTest, CountWindowChainsAgree) {
   RunPlan(&nested, workload);
 
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(indexed.collectors[q.id]->ResultMultiset(),
-              nested.collectors[q.id]->ResultMultiset())
+    EXPECT_EQ(indexed.sinks[q.id]->ResultMultiset(),
+              nested.sinks[q.id]->ResultMultiset())
         << q.DebugString();
   }
   for (const BuiltSlice& slice : indexed.slices) {
@@ -298,6 +298,7 @@ TEST_P(MigrationChurnTest, SplitMergeAddRemoveKeepsIndexesConsistent) {
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  AttachQuerySinks(&built);
 
   std::vector<Tuple> merged = MergedArrivals(workload);
   RoundRobinScheduler scheduler(built.plan.get());
@@ -355,7 +356,7 @@ TEST_P(MigrationChurnTest, SplitMergeAddRemoveKeepsIndexesConsistent) {
   ValidateBuiltChain(built, /*check_indexes=*/true);
 
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(built.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(built.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -404,6 +405,7 @@ TEST(MultiwayIndexTest, ThreeWayEquiTreeMatchesNestedLoopAndOracle) {
       tree.levels.push_back(std::move(plan));
     }
     BuiltPlan built = BuildStateSlicePlan(queries, tree, options);
+    AttachQuerySinks(&built);
     ReplayArrivals(built.plan.get(), built.entry, MergedArrivals(workload));
     return built;
   };
@@ -416,9 +418,9 @@ TEST(MultiwayIndexTest, ThreeWayEquiTreeMatchesNestedLoopAndOracle) {
       ptrs.push_back(&workload.streams[static_cast<size_t>(s)]);
     }
     const auto expected = MultiwayOracle(ptrs, workload.condition, q);
-    EXPECT_EQ(indexed.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(indexed.sinks[q.id]->ResultMultiset(), expected)
         << "indexed " << q.DebugString();
-    EXPECT_EQ(nested.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(nested.sinks[q.id]->ResultMultiset(), expected)
         << "nested " << q.DebugString();
   }
   for (const BuiltSlice& slice : indexed.slices) {

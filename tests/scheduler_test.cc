@@ -5,13 +5,13 @@
 #include <memory>
 
 #include "src/operators/split.h"
-#include "src/runtime/sink.h"
 #include "tests/test_util.h"
 
 namespace stateslice {
 namespace {
 
 using ::stateslice::testing::A;
+using ::stateslice::testing::TupleCounter;
 
 // A pass-through operator that counts how many events it handled.
 class CountingPass : public Operator {
@@ -29,14 +29,14 @@ struct PipelinePlan {
   EventQueue* entry = nullptr;
   CountingPass* first = nullptr;
   CountingPass* second = nullptr;
-  CountingSink* sink = nullptr;
+  TupleCounter* sink = nullptr;
 };
 
 std::unique_ptr<PipelinePlan> MakePipeline() {
   auto p = std::make_unique<PipelinePlan>();
   p->first = p->plan.AddOperator(std::make_unique<CountingPass>("p1"));
   p->second = p->plan.AddOperator(std::make_unique<CountingPass>("p2"));
-  p->sink = p->plan.AddOperator(std::make_unique<CountingSink>("sink"));
+  p->sink = p->plan.AddOperator(std::make_unique<TupleCounter>("sink"));
   p->entry = p->plan.AddEntryQueue("entry", p->first, 0);
   p->plan.Connect(p->first, 0, p->second, 0);
   p->plan.Connect(p->second, 0, p->sink, 0);

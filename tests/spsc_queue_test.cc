@@ -87,9 +87,34 @@ TEST(SpscQueueTest, AccountingMatchesEventQueueSemantics) {
   ASSERT_TRUE(q.TryPop(&out));
   ASSERT_TRUE(q.TryPush(9));
   EXPECT_EQ(q.total_pushed(), 6u);
-  // Producer-side HWM: at least the true peak of 5, never above capacity.
-  EXPECT_GE(q.high_water_mark(), 5u);
-  EXPECT_LE(q.high_water_mark(), q.capacity());
+  // Sampled at head reloads only: never above the true peak of 5.
+  EXPECT_LE(q.high_water_mark(), 5u);
+  // Pushes 7 and 8 fill the producer's cached view of the head; push 9
+  // reloads it (2 popped) and samples the occupancy after it: 7.
+  ASSERT_TRUE(q.TryPush(10));
+  ASSERT_TRUE(q.TryPush(11));
+  ASSERT_TRUE(q.TryPush(12));
+  EXPECT_EQ(q.high_water_mark(), 7u);
+  // Push 10 fills the ring and push 11 finds it really full, which pins
+  // the mark at capacity.
+  ASSERT_TRUE(q.TryPush(13));
+  EXPECT_FALSE(q.TryPush(14));
+  EXPECT_EQ(q.high_water_mark(), q.capacity());
+}
+
+TEST(SpscQueueTest, HighWaterMarkFollowsOccupancyNotPushCount) {
+  // One event in flight at a time: the real occupancy never exceeds 1,
+  // however many pushes the ring has taken.
+  SpscQueue<int> q(16);
+  // Single-threaded test: this thread plays both SPSC roles.
+  q.AssertProducer();
+  q.AssertConsumer();
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(q.TryPush(int{i}));
+    int out = 0;
+    ASSERT_TRUE(q.TryPop(&out));
+  }
+  EXPECT_LE(q.high_water_mark(), 1u);
 }
 
 TEST(SpscQueueTest, CarriesEvents) {

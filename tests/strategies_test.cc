@@ -68,15 +68,15 @@ TEST_P(StrategiesTest, AllStrategiesAgreeWithOracle) {
   for (const ContinuousQuery& q : queries) {
     const auto expected = OracleJoin(workload.stream_a, workload.stream_b,
                                      workload.condition, q);
-    EXPECT_EQ(unshared.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(unshared.sinks[q.id]->ResultMultiset(), expected)
         << "unshared " << q.DebugString();
-    EXPECT_EQ(pullup.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(pullup.sinks[q.id]->ResultMultiset(), expected)
         << "pullup " << q.DebugString();
-    EXPECT_EQ(pushdown.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(pushdown.sinks[q.id]->ResultMultiset(), expected)
         << "pushdown " << q.DebugString();
-    EXPECT_EQ(mem_opt.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(mem_opt.sinks[q.id]->ResultMultiset(), expected)
         << "mem_opt " << q.DebugString();
-    EXPECT_EQ(cpu_opt.collectors[q.id]->ResultMultiset(), expected)
+    EXPECT_EQ(cpu_opt.sinks[q.id]->ResultMultiset(), expected)
         << "cpu_opt " << q.DebugString();
   }
 }
@@ -115,14 +115,14 @@ TEST(StrategySinksTest, OrderedDeliveryEverywhere) {
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
   RunPlan(&mem_opt, workload);
   for (const ContinuousQuery& q : queries) {
-    EXPECT_TRUE(mem_opt.collectors[q.id]->saw_ordered_stream())
+    EXPECT_TRUE(mem_opt.sinks[q.id]->saw_ordered_stream())
         << q.DebugString();
   }
 
   BuiltPlan pushdown = BuildPushDownPlan(queries, options);
   RunPlan(&pushdown, workload);
   for (const ContinuousQuery& q : queries) {
-    EXPECT_TRUE(pushdown.collectors[q.id]->saw_ordered_stream())
+    EXPECT_TRUE(pushdown.sinks[q.id]->saw_ordered_stream())
         << q.DebugString();
   }
 }
@@ -140,7 +140,7 @@ TEST(PushDownDegenerateTest, NoSelectionsFallsBackToSharedJoin) {
   BuiltPlan plan = BuildPushDownPlan(queries, options);
   RunPlan(&plan, workload);
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(plan.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(plan.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();
@@ -162,7 +162,7 @@ TEST(PushDownDegenerateTest, AllFilteredSharesSelectionBelowJoin) {
   BuiltPlan plan = BuildPushDownPlan(queries, options);
   RunPlan(&plan, workload);
   for (const ContinuousQuery& q : queries) {
-    EXPECT_EQ(plan.collectors[q.id]->ResultMultiset(),
+    EXPECT_EQ(plan.sinks[q.id]->ResultMultiset(),
               OracleJoin(workload.stream_a, workload.stream_b,
                          workload.condition, q))
         << q.DebugString();

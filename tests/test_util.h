@@ -3,6 +3,7 @@
 #define STATESLICE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -129,9 +130,25 @@ inline RunStats RunEngine(Engine::Options options,
   return engine.Snapshot();
 }
 
-// Replays the workload through a built plan (ReplayArrivals); callers read
-// the plan's sinks and cost_counters() afterwards.
+// A terminal operator counting the bare tuples it receives (plan and
+// scheduler tests; a QuerySink counts join results only).
+class TupleCounter : public Operator {
+ public:
+  explicit TupleCounter(std::string name) : Operator(std::move(name)) {}
+  void Process(Event event, int /*input_port*/) override {
+    if (IsTuple(event)) ++tuple_count_;
+  }
+  uint64_t tuple_count() const { return tuple_count_; }
+
+ private:
+  uint64_t tuple_count_ = 0;
+};
+
+// Attaches the query sinks to a built plan and replays the workload
+// through it (ReplayArrivals); callers read the plan's sinks and
+// cost_counters() afterwards.
 inline void RunPlan(BuiltPlan* built, const Workload& workload) {
+  AttachQuerySinks(built);
   ReplayArrivals(built->plan.get(), built->entry, MergedArrivals(workload));
 }
 

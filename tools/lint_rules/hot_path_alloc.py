@@ -1,12 +1,12 @@
 """Rule: hot-path-alloc.
 
 The per-event hot path — join-state probes/purges, the slot ring, the event
-and SPSC rings, the schedulers' run loops, the arena, the tuple tail, and
-the window-join Process paths — must not heap-allocate per event:
-ad-hoc new/make_unique there turns the O(matches) probe work into allocator
-traffic and wrecks the sharded workers' latency. Amortized container
-growth (vector::push_back into pre-sized storage) is the sanctioned
-mechanism and is not flagged. Genuinely needed allocations take an explicit
+and SPSC rings, the schedulers' run loops, the arena, the tuple tail, the
+window-join Process paths, and the query sink's delivery — must not
+heap-allocate per event: ad-hoc new/make_unique there turns the
+O(matches) probe work into allocator traffic and wrecks the sharded
+workers' latency. Amortized container growth (vector::push_back into
+pre-sized storage) is the sanctioned mechanism and is not flagged. Genuinely needed allocations take an explicit
 `// lint: allow(hot-path-alloc) -- <reason>` suppression.
 """
 
@@ -30,6 +30,8 @@ HOT_FILES = {
     "src/runtime/spsc_queue.h",
     "src/runtime/shard_router.h",
     "src/runtime/shard_router.cc",
+    "src/runtime/sink.cc",
+    "src/runtime/sink.h",
     "src/runtime/sharded_scheduler.cc",
     "src/operators/sliced_window_join.cc",
     "src/operators/sliding_window_join.cc",
